@@ -12,12 +12,12 @@ every swap bit-identical; this bench pins the *point* of the layer:
   ``finish_seq`` kernel replaces.  The acceptance pin: **>= 3x** over
   the pure-numpy provider at full size (measured ~20x with the cffi
   provider on x86-64).
-* **parallel lock-step (Table-1 cycle)**: wide rounds drive the fused
-  step + compiled settlement round; narrow tail rounds stay on numpy
-  under the ``min_width`` gate and the stragglers use the compiled
-  finisher.  Reported for reference; the pin here is byte-identity and
-  no regression below **0.9x** (the layer must never cost the default
-  path its performance).
+* **parallel lock-step (Table-1 cycle)**: the fused ``advance_rounds``
+  kernel plays whole rounds in C — step, probe, contest, compaction —
+  and returns to Python once per refill epoch instead of twice per
+  round, so the deep Θ(n² log n) settlement tail no longer pays
+  per-round dispatch.  The acceptance pin: **>= 3x** over the
+  pure-numpy provider at full size.
 
 Both workloads assert the byte-identity anchor: the full result set
 (``steps``, ``settled_at``, ``settle_order``, ``dispersion_time``) of
@@ -50,7 +50,7 @@ REPEAT = int(os.environ.get("BENCH_KERNELS_REPEAT", 3))
 
 SEED = 20260808
 SEQ_FLOOR = 3.0
-PAR_FLOOR = 0.9
+PAR_FLOOR = 3.0
 FULL_SIZE = (SEQ_N, SEQ_REPS, PAR_N, PAR_REPS) == (384, 6, 256, 32)
 
 COMPILED = next(

@@ -457,7 +457,9 @@ def batched_parallel_idla(
         takes over the stragglers (once each survivor is also down to
         ``scalar_threshold`` live particles — i.e. inside the serial
         driver's own scalar narrow phase); ``0`` disables the handoff,
-        ``None`` uses the module default.  A performance knob only —
+        ``None`` uses the module default — except on the fused compiled
+        lock-step (see ``kernels``), whose rounds outrun the finisher's,
+        where ``None`` hands nothing off.  A performance knob only —
         results are bit-identical either way.
     state_budget:
         Optional :class:`repro.core.budget.StateBudget` (or spec string)
@@ -482,7 +484,10 @@ def batched_parallel_idla(
         engage only on exact-bitstream backends with a materialised host
         CSR, and are a performance knob only — every sample stays
         bit-identical to the serial oracle (the differential harness pins
-        this per provider).
+        this per provider).  With the default rule, no recording and no
+        budget step chunk the whole lock-step runs in compiled code
+        between refill epochs
+        (:meth:`~repro.kernels.CompiledKernels.advance_rounds`).
 
     Returns
     -------
@@ -685,7 +690,6 @@ def batched_parallel_idla(
             and int(k.max()) <= scalar_threshold
         )
 
-    rebuild()
     kernel = neighbor_kernel(g)
     degrees_g = g.degrees
     # compiled inner-loop layer: engages only under the bit-identity
@@ -696,6 +700,31 @@ def batched_parallel_idla(
     fused = kern.stepper(g) if compiled else None
     csr = csr_arrays(g) if compiled else None
     settle_scratch = kern.make_settle_scratch(n) if compiled else None
+    limit_msg = f"parallel IDLA exceeded max_rounds={max_rounds}"
+    t = 0
+    if csr is not None and use_default_rule and store is None and step_chunk is None:
+        # fused lock-step: whole rounds run in compiled code, handing back
+        # only to refill a buffer; the lanes come back compacted in place,
+        # down to the tail finisher's stragglers or to none at all.  The
+        # compiled rounds outrun the finisher's multi-particle Python
+        # rounds, so only an explicit tail_threshold hands stragglers off.
+        rep_ids, pid, pos = (
+            bk.ascontiguousarray(a, dtype=np.int64) for a in (rep_ids, pid, pos)
+        )
+        k = bk.bincount(rep_ids, minlength=R)
+        lanes, t = kern.advance_rounds(
+            csr[0], csr[1], streams, rep_ids, pid, pos, bptr, k, free,
+            occ, steps2d, settled2d, round2d, prio2d,
+            t=t, lazy=lazy, scalar_threshold=scalar_threshold,
+            tail_threshold=0 if tail_threshold is None else tail_total,
+            budget=budget, limit_msg=limit_msg,
+            scratch=settle_scratch,
+        )
+        rep_ids, pid, pos = rep_ids[:lanes], pid[:lanes], pos[:lanes]
+        handoff = lanes > 0
+    else:
+        rebuild()
+        handoff = tail_ready()
     # narrow rounds (the settlement tail) keep the numpy expressions: the
     # compiled call overhead only pays for itself from min_width lanes up
     minw = kern.min_width
@@ -711,8 +740,6 @@ def batched_parallel_idla(
     else:
         degm1 = degrees_g - 1
         degf = degrees_g.astype(np.float64)
-    t = 0
-    handoff = tail_ready()
 
     while rep_ids.size:
         if handoff:
@@ -768,7 +795,7 @@ def batched_parallel_idla(
             break
         t += 1
         if t > budget:
-            raise RuntimeError(f"parallel IDLA exceeded max_rounds={max_rounds}")
+            raise RuntimeError(limit_msg)
         if rounds_buffered <= 0:
             refill()
         rounds_buffered -= 1

@@ -33,8 +33,20 @@ backends and only for materialised-CSR graphs (:func:`csr_arrays`); the
 differential harness in ``tests/test_differential_drivers.py`` pins every
 swapped kernel against the serial oracles, double for double.  Each
 provider passes a load-time self-check (:func:`_self_check`) exercising
-all seven entry points before it can be selected, so a miscompiled or
+all eight entry points before it can be selected, so a miscompiled or
 mis-installed provider fails at resolution, not mid-run.
+
+Fused lock-step
+---------------
+The eighth entry point, :meth:`CompiledKernels.advance_rounds`, runs
+whole rounds of ``batched_parallel_idla`` in place and returns to Python
+only at the status protocol's events: ``0`` a live repetition's buffer
+cannot serve the next round (the wrapper refills and resumes), ``2`` the
+tail-finisher handoff holds, ``1`` every lane settled, ``-1`` the next
+round would exceed ``max_rounds``.  The driver takes this path whenever
+the compiled gates above hold and the run uses the default rule, no
+trajectory recording and no ``state_budget`` step chunk; otherwise the
+per-round body runs as before.
 """
 
 from __future__ import annotations
@@ -63,6 +75,9 @@ _AUTO_ORDER = ("numba", "cffi")
 
 _I64 = np.dtype(np.int64)
 _F64 = np.dtype(np.float64)
+#: Placeholder priority buffer for ``advance_rounds`` under the "index"
+#: tie-break (the kernel reads ``pid`` instead and never touches it).
+_NO_PRIO = np.zeros(1, dtype=np.int64)
 
 
 class KernelsUnavailableError(ValueError):
@@ -250,6 +265,84 @@ class CompiledKernels(KernelSet):
         )
         return winners[: int(c)]
 
+    # ---- fused lock-step rounds --------------------------------------
+    def advance_rounds(
+        self, indptr, indices, streams, rep_ids, pid, pos, bptr, k, free,
+        occ, steps2d, settled2d, round2d, prio2d, *,
+        t, lazy, scalar_threshold, tail_threshold, budget, limit_msg,
+        scratch=None,
+    ) -> tuple[int, int]:
+        """Run ``batched_parallel_idla``'s lock-step rounds in compiled code.
+
+        One kernel call advances whole rounds — step, vacancy probe,
+        per-(repetition, vertex) contest, result writes, surplus-lane stop
+        and in-order compaction — over the flat lane arrays ``rep_ids`` /
+        ``pid`` / ``pos`` (int64, C-contiguous, writable: they are
+        compacted in place) and the per-repetition ``bptr`` / ``k`` /
+        ``free``.  The kernel hands back only at the status protocol's
+        events: a live repetition's buffer cannot serve the next round
+        (status 0: its row is refilled here through
+        ``streams.refill_tail`` and the kernel resumes), the tail-finisher
+        handoff holds (2), every lane settled (1), or the next round would
+        exceed ``budget`` (-1: ``RuntimeError(limit_msg)``).  So a run
+        costs one call per refill epoch, not per round.
+
+        Returns ``(live lanes, t)``: the surviving lanes are the first
+        ``live`` entries of the lane arrays, ``t`` the last round played.
+        """
+        for a in (rep_ids, pid, pos, bptr, k, free, steps2d, settled2d, round2d):
+            if a.dtype != _I64 or not (a.flags.c_contiguous and a.flags.writeable):
+                raise ValueError(
+                    "advance_rounds mutates its int64 state in place: "
+                    "pass writable C-contiguous int64 arrays"
+                )
+        R, n = bptr.shape[0], indptr.shape[0] - 1
+        m = steps2d.shape[-1]
+        lanes = rep_ids.shape[0]
+        if not (
+            pid.shape == pos.shape == (lanes,)
+            and k.shape == free.shape == (R,)
+            and occ.shape == (R * n,)
+            and steps2d.shape == settled2d.shape == round2d.shape == (R, m)
+            and (prio2d is None or prio2d.shape == (R, m))
+            and streams.flat.shape == (R * streams.block,)
+        ):
+            raise ValueError("advance_rounds: inconsistent lane/repetition shapes")
+        # the kernel indexes with these unchecked: lanes grouped by
+        # repetition ascending, k their per-repetition counts, every
+        # repetition, particle and vertex id in range
+        if lanes and not (
+            0 <= rep_ids[0] and rep_ids[-1] < R
+            and bool(np.all(rep_ids[1:] >= rep_ids[:-1]))
+            and np.array_equal(np.bincount(rep_ids, minlength=R), k)
+            and 0 <= pid.min() and pid.max() < m
+            and 0 <= pos.min() and pos.max() < n
+        ):
+            raise ValueError("advance_rounds: lane state out of range or ungrouped")
+        if scratch is None:
+            scratch = self.make_settle_scratch(n)
+        touched = np.empty(n, dtype=np.int64)
+        prio = _NO_PRIO if prio2d is None else _i64(prio2d).reshape(-1)
+        state = np.array([lanes, t], dtype=np.int64)
+        block = streams.block
+        lz = 1 if lazy else 0
+        while True:
+            status = self._impl.par_rounds(
+                indptr, indices, streams.flat, block, rep_ids, pid, pos,
+                bptr, k, free, _u8(occ), steps2d.reshape(-1),
+                settled2d.reshape(-1), round2d.reshape(-1), prio,
+                0 if prio2d is None else 1, n, m, lz, scalar_threshold,
+                tail_threshold, budget, scratch, touched, state,
+            )
+            if status > 0:
+                return int(state[0]), int(state[1])
+            if status < 0:
+                raise RuntimeError(limit_msg)
+            need = np.where(lazy & (k > scalar_threshold), 2 * k, k)
+            for r in np.flatnonzero((k > 0) & (bptr + need > block)).tolist():
+                streams.refill_tail(r, int(bptr[r]))
+                bptr[r] = 0
+
     # ---- scalar-tail finisher loops ----------------------------------
     def finish_sequential(
         self, indptr, indices, occ_row, starts, tail, *,
@@ -354,8 +447,22 @@ class _BlockFeeder:
         return out
 
 
+class _RowFeeder(_BlockFeeder):
+    """One-repetition stand-in for ``UniformStreams`` (self-check only)."""
+
+    def __init__(self, blocks):
+        super().__init__(blocks)
+        self.flat = self.take_block().copy()
+        self.block = self.flat.shape[0]
+
+    def refill_tail(self, r: int, ptr: int) -> None:
+        rem = self.block - ptr
+        self.flat[:rem] = self.flat[ptr:]
+        self.flat[rem:] = self.take_block()[:ptr]
+
+
 def _self_check(ks: CompiledKernels) -> None:
-    """Exercise every kernel on the path graph P3 and assert the answers.
+    """Exercise all eight kernels on the path graph P3 and assert the answers.
 
     Forces numba to compile all kernels at selection time (a broken
     install fails here, loudly) and catches toolchain miscompiles for the
@@ -424,6 +531,30 @@ def _self_check(ks: CompiledKernels) -> None:
     )
     assert hits == 2, hits
 
+    # particles 1 and 2 wait at vertex 0 (particle 0 settled there in
+    # round 0); both step to 1, where particle 2 wins on priority; the
+    # 2-double buffer runs dry and is refilled before particle 1 steps on
+    # to vertex 2
+    occ = np.array([1, 0, 0], dtype=bool)
+    steps2d = np.zeros((1, 3), dtype=np.int64)
+    settled2d = np.array([[0, -1, -1]], dtype=np.int64)
+    round2d = settled2d.copy()
+    k = np.array([2], dtype=np.int64)
+    scratch = ks.make_settle_scratch(3)
+    lanes, rounds = ks.advance_rounds(
+        indptr, indices, _RowFeeder([[0.3, 0.7], [0.9, 0.1]]),
+        np.zeros(2, dtype=np.int64), np.array([1, 2], dtype=np.int64),
+        np.zeros(2, dtype=np.int64), np.zeros(1, dtype=np.int64), k,
+        np.array([2], dtype=np.int64), occ, steps2d, settled2d, round2d,
+        np.array([[0, 2, 1]], dtype=np.int64),
+        t=0, lazy=False, scalar_threshold=16, tail_threshold=0,
+        budget=float("inf"), limit_msg="self-check", scratch=scratch,
+    )
+    assert (lanes, rounds) == (0, 2) and k.tolist() == [0], (lanes, rounds)
+    assert settled2d.tolist() == [[0, 2, 1]] and occ.all(), settled2d
+    assert steps2d.tolist() == round2d.tolist() == [[0, 2, 1]], steps2d
+    assert (scratch == -1).all(), scratch
+
 
 # ----------------------------------------------------------------------
 # registry / resolution
@@ -444,6 +575,24 @@ def _dep_present(name: str) -> bool:
     return True
 
 
+def _load_cffi() -> CompiledKernels:
+    """Open and self-check the cffi provider; a cached library that opens
+    but fails the self-check (a corrupted or foreign binary) is deleted
+    and rebuilt once before the failure stands."""
+    from repro.kernels import cffi_impl
+
+    impl = cffi_impl.load()
+    ks = CompiledKernels("cffi", impl)
+    try:
+        _self_check(ks)
+    except (AssertionError, AttributeError):  # wrong answers, missing symbols
+        if not cffi_impl.discard(impl):
+            raise
+        ks = CompiledKernels("cffi", cffi_impl.load())
+        _self_check(ks)
+    return ks
+
+
 def _load(name: str) -> KernelSet:
     if name in _CACHE:
         return _CACHE[name]
@@ -459,11 +608,9 @@ def _load(name: str) -> KernelSet:
                 from repro.kernels import numba_impl
 
                 ks = CompiledKernels("numba", numba_impl)
+                _self_check(ks)
             else:
-                from repro.kernels import cffi_impl
-
-                ks = CompiledKernels("cffi", cffi_impl.load())
-            _self_check(ks)
+                ks = _load_cffi()
         except Exception as exc:
             _FAILED[name] = f"{type(exc).__name__}: {exc}"
             raise KernelsUnavailableError(

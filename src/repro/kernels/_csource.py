@@ -11,10 +11,15 @@ micro-loops in ``_finish_parallel_rep`` / ``_finish_sequential_rep`` /
 order around the budget checks) is deliberate and pinned by
 ``tests/test_differential_drivers.py``.
 
-The loop kernels consume uniforms from a caller-provided buffer and
-return ``0`` when it runs dry; the Python wrapper refills in exactly the
-serial drivers' block cadence (see ``KernelSet`` in the package root), so
-generator fetch positions stay on the serial grid.
+Eight entry points.  The loop kernels consume uniforms from a
+caller-provided buffer and return ``0`` when it runs dry; the Python
+wrapper refills in exactly the serial drivers' block cadence (see
+``KernelSet`` in the package root), so generator fetch positions stay on
+the serial grid.  ``repro_par_rounds`` extends the same status protocol
+to whole lock-step rounds of the parallel driver: ``0`` when a live
+repetition's buffer cannot serve the next round (the wrapper refills
+those rows and calls again), ``2`` at the tail-finisher handoff, ``1``
+when every lane settled, ``-1`` past ``max_rounds``.
 """
 
 from __future__ import annotations
@@ -41,6 +46,13 @@ i64 repro_walk_fill(const i64 *indptr, const i64 *indices, i64 *out,
 i64 repro_walk_hit(const i64 *indptr, const i64 *indices,
                    const unsigned char *hit, const double *buf, i64 nbuf,
                    i64 *state, double limit);
+i64 repro_par_rounds(const i64 *indptr, const i64 *indices,
+                     const double *buf, i64 block, i64 *rep, i64 *pid,
+                     i64 *pos, i64 *bptr, i64 *k, i64 *freev,
+                     unsigned char *occ, i64 *steps, i64 *settled, i64 *rnd,
+                     const i64 *prio, i64 use_prio, i64 n, i64 m, i64 lazy,
+                     i64 st, i64 tail_total, double budget, i64 *best,
+                     i64 *touched, i64 *state);
 """
 
 C_SOURCE = """
@@ -248,6 +260,114 @@ i64 repro_walk_hit(const i64 *indptr, const i64 *indices,
             state[0] = steps; state[1] = pos;
             return -1;
         }
+    }
+}
+
+/* Doubles repetition r draws in one lock-step round with kr live lanes:
+ * the lazy wide phase (kr > st) reads kr hold gates then kr step
+ * uniforms, every other round one uniform per lane. */
+static i64 repro_par_need(i64 kr, i64 lazy, i64 st)
+{
+    return (lazy && kr > st) ? 2 * kr : kr;
+}
+
+/* Whole lock-step rounds of batched_parallel_idla, in place.
+ * Lanes (rep, pid, pos) are grouped by repetition ascending, k[r] of them
+ * per repetition; lane j of rank q within its group reads its uniform at
+ * buf[r*block + bptr[r] + q].  Each round: clamped CSR step (lazy: hold
+ * below 0.5; wide rounds step with the uniform k[r] further on, narrow
+ * rounds with 2(u - 0.5)), then the per-(repetition, vertex) contest of
+ * the lanes on vacant cells -- smallest priority wins, priority pid or
+ * prio[r*m + pid].  Winners fill occ/steps/settled/rnd; a repetition whose
+ * last vertex filled stops its surplus lanes (m > n) with t steps each;
+ * survivors are compacted in order.  Winner emission order is immaterial
+ * here (each writes its own cells), so the contest needs no sort.
+ * state = [live lanes, t].  Returns 1 when no lane is left, 2 when the
+ * tail-finisher handoff holds (<= tail_total live repetitions, each with
+ * <= st lanes), 0 when a live repetition's buffer cannot serve the next
+ * round (refill rows with bptr[r] + need > block, reset their bptr, call
+ * again), -1 when the next round would exceed `budget`. */
+i64 repro_par_rounds(const i64 *indptr, const i64 *indices,
+                     const double *buf, i64 block, i64 *rep, i64 *pid,
+                     i64 *pos, i64 *bptr, i64 *k, i64 *freev,
+                     unsigned char *occ, i64 *steps, i64 *settled, i64 *rnd,
+                     const i64 *prio, i64 use_prio, i64 n, i64 m, i64 lazy,
+                     i64 st, i64 tail_total, double budget, i64 *best,
+                     i64 *touched, i64 *state)
+{
+    i64 nl = state[0], t = state[1];
+    i64 live = 0, kmax = 0, ok = 1;
+    for (i64 i = 0; i < nl; i += k[rep[i]]) {
+        i64 r = rep[i], kr = k[r];
+        live++;
+        if (kr > kmax) kmax = kr;
+        if (bptr[r] + repro_par_need(kr, lazy, st) > block) ok = 0;
+    }
+    for (;;) {
+        if (nl == 0) return 1;
+        if (tail_total > 0 && live <= tail_total && kmax <= st) return 2;
+        if (!ok) return 0;
+        t += 1;
+        if ((double)t > budget) { state[1] = t; return -1; }
+        i64 w = 0, i = 0;
+        live = 0; kmax = 0;
+        while (i < nl) {
+            i64 r = rep[i], kr = k[r], off = r * n, nt = 0;
+            i64 wide = lazy && kr > st, end = i + kr;
+            const double *u0 = buf + r * block + bptr[r];
+            for (i64 j = i; j < end; j++) {
+                i64 p = pos[j];
+                double u = u0[j - i];
+                if (!lazy || u >= 0.5) {
+                    if (lazy) u = wide ? u0[j - i + kr] : 2.0 * (u - 0.5);
+                    i64 s = indptr[p];
+                    i64 d = indptr[p + 1] - s;
+                    i64 o = (i64)(u * (double)d);
+                    if (o > d - 1) o = d - 1;
+                    if (o < 0) o = 0;
+                    p = indices[s + o];
+                    pos[j] = p;
+                }
+                if (occ[off + p]) continue;
+                i64 b = best[p];
+                if (b < 0) { touched[nt++] = p; best[p] = j; }
+                else if (use_prio ? prio[r * m + pid[j]] < prio[r * m + pid[b]]
+                                  : pid[j] < pid[b]) best[p] = j;
+            }
+            bptr[r] += repro_par_need(kr, lazy, st);
+            for (i64 q = 0; q < nt; q++) {
+                i64 v = touched[q], j = best[v], cell = r * m + pid[j];
+                best[v] = -1;
+                occ[off + v] = 1;
+                steps[cell] = t;
+                settled[cell] = v;
+                rnd[cell] = t;
+                pid[j] = -1;
+            }
+            freev[r] -= nt;
+            i64 kn = kr - nt;
+            if (kn && freev[r] == 0) {
+                for (i64 j = i; j < end; j++)
+                    if (pid[j] >= 0) steps[r * m + pid[j]] = t;
+                kn = 0;
+            }
+            if (kn) {
+                if (nt == 0 && w == i) w = end;  /* nothing moved */
+                else for (i64 j = i; j < end; j++) {
+                    if (pid[j] < 0) continue;
+                    rep[w] = r; pid[w] = pid[j]; pos[w] = pos[j];
+                    w++;
+                }
+                live++;
+                if (kn > kmax) kmax = kn;
+                if (bptr[r] + repro_par_need(kn, lazy, st) > block) ok = 0;
+            }
+            k[r] = kn;
+            i = end;
+        }
+        nl = w;
+        state[0] = nl;
+        state[1] = t;
     }
 }
 """

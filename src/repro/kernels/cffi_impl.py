@@ -3,9 +3,13 @@
 The provider that makes the compiled layer available wherever a C
 compiler is — no numba wheel required.  ``load()`` compiles
 :data:`repro.kernels._csource.C_SOURCE` once into a shared object cached
-under a source-hash-keyed path (``$REPRO_KERNELS_CACHE``, defaulting to a
-per-user directory below the system temp dir) and opens it in cffi ABI
-mode; subsequent processes reuse the cached ``.so`` without recompiling.
+under a path keyed by the source, compiler, flags and platform
+(``$REPRO_KERNELS_CACHE``, defaulting to a per-user directory below the
+system temp dir) and opens it in cffi ABI mode; subsequent processes
+reuse the cached ``.so`` without recompiling.  A cached library that
+fails to open is deleted and rebuilt once; one that opens but fails the
+registry's self-check is dropped through :func:`discard` and rebuilt
+once too.
 
 Only plain ``-O2`` is passed (see the bit-identity note in ``_csource``).
 Build failures raise with the compiler's stderr attached; the registry
@@ -17,11 +21,18 @@ from __future__ import annotations
 
 import hashlib
 import os
+import platform
 import subprocess
+import sys
 import tempfile
+from shutil import which
 from types import SimpleNamespace
 
 from repro.kernels._csource import C_SOURCE, CDEF
+
+#: Compiler flags; part of the cache key (see the bit-identity note in
+#: ``_csource`` before adding any).
+_CFLAGS = ("-O2", "-fPIC", "-shared")
 
 
 def _cache_dir() -> str:
@@ -32,22 +43,36 @@ def _cache_dir() -> str:
     return os.path.join(tempfile.gettempdir(), f"repro-kernels-{uid}")
 
 
+def _compiler() -> str:
+    return os.environ.get("CC") or "cc"
+
+
+def _so_path() -> str:
+    """Cached library path, keyed by everything that shapes the binary:
+    the C source, the resolved compiler, the flags and the platform."""
+    cc = _compiler()
+    key = "\0".join(
+        (C_SOURCE, which(cc) or cc, *_CFLAGS, sys.platform, platform.machine())
+    )
+    digest = hashlib.sha256(key.encode()).hexdigest()[:16]
+    return os.path.join(_cache_dir(), f"repro_kernels_{digest}.so")
+
+
 def _ensure_built() -> str:
     """Compile the kernel source (once) and return the shared-object path."""
-    digest = hashlib.sha256(C_SOURCE.encode()).hexdigest()[:16]
-    cache = _cache_dir()
-    so_path = os.path.join(cache, f"repro_kernels_{digest}.so")
+    so_path = _so_path()
     if os.path.exists(so_path):
         return so_path
+    cache = os.path.dirname(so_path)
     os.makedirs(cache, exist_ok=True)
-    cc = os.environ.get("CC") or "cc"
+    cc = _compiler()
     fd, c_path = tempfile.mkstemp(dir=cache, suffix=".c")
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(C_SOURCE)
         tmp_so = c_path[:-2] + ".so"
         proc = subprocess.run(
-            [cc, "-O2", "-fPIC", "-shared", "-o", tmp_so, c_path],
+            [cc, *_CFLAGS, "-o", tmp_so, c_path],
             capture_output=True,
             text=True,
         )
@@ -64,6 +89,27 @@ def _ensure_built() -> str:
     return so_path
 
 
+def _unlink(path: str) -> bool:
+    try:
+        os.unlink(path)
+    except FileNotFoundError:
+        return False
+    return True
+
+
+def discard(impl: SimpleNamespace) -> bool:
+    """Unload ``impl``'s library and delete its cached file.
+
+    For a cached library that opens but fails the registry's self-check
+    (a corrupted write, or a binary from another toolchain under the same
+    key): the next :func:`load` rebuilds it.  Unloading first matters —
+    the dynamic loader would otherwise hand back the stale image for the
+    same path.  Returns ``False`` when there was no file to delete.
+    """
+    impl.ffi.dlclose(impl.lib)
+    return _unlink(impl.path)
+
+
 def load() -> SimpleNamespace:
     """Build/open the library and return the low-level impl namespace.
 
@@ -77,7 +123,14 @@ def load() -> SimpleNamespace:
 
     ffi = cffi.FFI()
     ffi.cdef(CDEF)
-    lib = ffi.dlopen(_ensure_built())
+    path = _ensure_built()
+    try:
+        lib = ffi.dlopen(path)
+    except OSError:
+        # junk or a truncated file under the cache key: rebuild once
+        _unlink(path)
+        path = _ensure_built()
+        lib = ffi.dlopen(path)
     # typed from_buffer views decay to pointers at the call boundary and
     # cost ~4x less per argument than cast("i64 *", a.ctypes.data) — at
     # kernel call rates the marshalling is a measurable slice of the
@@ -95,6 +148,9 @@ def load() -> SimpleNamespace:
 
     return SimpleNamespace(
         name="cffi",
+        ffi=ffi,
+        lib=lib,
+        path=path,
         csr_step=lambda indptr, indices, pos, u, out, k: lib.repro_csr_step(
             pi(indptr), pi(indices), pi(pos), pd(u), pi(out), k
         ),
@@ -128,5 +184,13 @@ def load() -> SimpleNamespace:
                 pi(indptr), pi(indices), pu(hit), pd(buf), nbuf,
                 pi(state), limit,
             )
+        ),
+        par_rounds=lambda indptr, indices, buf, block, rep, pid, pos, bptr,
+        k, free, occ, steps, settled, rnd, prio, use_prio, n, m, lazy, st,
+        tail_total, budget, best, touched, state: lib.repro_par_rounds(
+            pi(indptr), pi(indices), pd(buf), block, pi(rep), pi(pid),
+            pi(pos), pi(bptr), pi(k), pi(free), pu(occ), pi(steps),
+            pi(settled), pi(rnd), pi(prio), use_prio, n, m, lazy, st,
+            tail_total, budget, pi(best), pi(touched), pi(state),
         ),
     )

@@ -211,3 +211,121 @@ def walk_hit(indptr, indices, hit, buf, nbuf, state, limit):
             state[0] = steps
             state[1] = pos
             return -1
+
+
+@njit(cache=True)
+def _par_need(kr, lazy, st):
+    if lazy and kr > st:
+        return 2 * kr
+    return kr
+
+
+@njit(cache=True)
+def par_rounds(
+    indptr, indices, buf, block, rep, pid, pos, bptr, k, free,
+    occ, steps, settled, rnd, prio, use_prio, n, m, lazy, st,
+    tail_total, budget, best, touched, state,
+):
+    nl = state[0]
+    t = state[1]
+    live = 0
+    kmax = 0
+    ok = True
+    i = 0
+    while i < nl:
+        r = rep[i]
+        kr = k[r]
+        live += 1
+        if kr > kmax:
+            kmax = kr
+        if bptr[r] + _par_need(kr, lazy, st) > block:
+            ok = False
+        i += kr
+    while True:
+        if nl == 0:
+            return 1
+        if tail_total > 0 and live <= tail_total and kmax <= st:
+            return 2
+        if not ok:
+            return 0
+        t += 1
+        if t > budget:
+            state[1] = t
+            return -1
+        w = 0
+        i = 0
+        live = 0
+        kmax = 0
+        while i < nl:
+            r = rep[i]
+            kr = k[r]
+            off = r * n
+            nt = 0
+            wide = lazy != 0 and kr > st
+            end = i + kr
+            base = r * block + bptr[r] - i
+            for j in range(i, end):
+                p = pos[j]
+                u = buf[base + j]
+                if not lazy or u >= 0.5:
+                    if lazy:
+                        u = buf[base + j + kr] if wide else 2.0 * (u - 0.5)
+                    s = indptr[p]
+                    d = indptr[p + 1] - s
+                    o = int(u * d)
+                    if o > d - 1:
+                        o = d - 1
+                    if o < 0:
+                        o = 0
+                    p = indices[s + o]
+                    pos[j] = p
+                if occ[off + p]:
+                    continue
+                b = best[p]
+                if b < 0:
+                    touched[nt] = p
+                    nt += 1
+                    best[p] = j
+                elif use_prio:
+                    if prio[r * m + pid[j]] < prio[r * m + pid[b]]:
+                        best[p] = j
+                elif pid[j] < pid[b]:
+                    best[p] = j
+            bptr[r] += _par_need(kr, lazy, st)
+            for q in range(nt):
+                v = touched[q]
+                j = best[v]
+                cell = r * m + pid[j]
+                best[v] = -1
+                occ[off + v] = 1
+                steps[cell] = t
+                settled[cell] = v
+                rnd[cell] = t
+                pid[j] = -1
+            free[r] -= nt
+            kn = kr - nt
+            if kn and free[r] == 0:
+                for j in range(i, end):
+                    if pid[j] >= 0:
+                        steps[r * m + pid[j]] = t
+                kn = 0
+            if kn:
+                if nt == 0 and w == i:  # nothing moved
+                    w = end
+                else:
+                    for j in range(i, end):
+                        if pid[j] >= 0:
+                            rep[w] = r
+                            pid[w] = pid[j]
+                            pos[w] = pos[j]
+                            w += 1
+                live += 1
+                if kn > kmax:
+                    kmax = kn
+                if bptr[r] + _par_need(kn, lazy, st) > block:
+                    ok = False
+            k[r] = kn
+            i = end
+        nl = w
+        state[0] = nl
+        state[1] = t

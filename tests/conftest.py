@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from collections import Counter
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -78,3 +81,42 @@ SMALL_GRAPH_FACTORIES = [
 def small_graph(request):
     """Parametrised fixture covering one representative of each family."""
     return SMALL_GRAPH_FACTORIES[request.param]()
+
+
+#: Low-level entry points every compiled kernel provider exposes.
+KERNEL_ENTRY_POINTS = (
+    "csr_step",
+    "vacant",
+    "settle_round",
+    "finish_seq",
+    "finish_par1",
+    "walk_fill",
+    "walk_hit",
+    "par_rounds",
+)
+
+
+@pytest.fixture
+def counting_kernels():
+    """Factory ``provider -> (KernelSet, Counter)``: a copy of a compiled
+    provider whose low-level entry points tally their calls by name, so a
+    test can see which kernels a run crossed into and how often."""
+    from repro.kernels import CompiledKernels, get_kernels
+
+    def make(provider):
+        base = get_kernels(provider)
+        calls = Counter()
+
+        def counted(name):
+            fn = getattr(base._impl, name)
+
+            def call(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return call
+
+        impl = SimpleNamespace(**{e: counted(e) for e in KERNEL_ENTRY_POINTS})
+        return CompiledKernels(base.name, impl), calls
+
+    return make

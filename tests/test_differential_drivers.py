@@ -43,12 +43,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.core.batched as batched
 from repro.core.budget import StateBudget
 from repro.experiments import estimate_dispersion
 from repro.experiments.runner import BATCHED_DRIVERS, PROCESS_DRIVERS
 from repro.graphs import cycle_graph
 from repro.kernels import available_kernels
-from repro.utils.rng import spawn_seed_sequences
+from repro.utils.rng import UniformStreams, spawn_seed_sequences
 
 PARENT_SEED = 20260731
 REPS = 6  # < default tail_threshold: the sequential finisher engages at once
@@ -338,6 +339,63 @@ def test_kernels_axis_matches_serial_oracle(case, kernels, monkeypatch):
                 assert len(batch) == REPS
                 for s, b in zip(serial, batch):
                     assert_result_identical(s, b, extras)
+
+
+@pytest.mark.parametrize("kernels", KERNEL_PROVIDERS)
+@pytest.mark.parametrize(
+    "case", [c for c in CASES if c[0] in TAIL_TUNABLE], ids=case_id
+)
+def test_kernels_axis_small_block(case, kernels, monkeypatch):
+    """The kernels axis with a 64-double stream chunk (the parallel
+    minimum here is 2·24 + 2 = 50): the fused parallel lock-step hands
+    back for a refill every round or two, so each refill boundary — and
+    the explicit tail handoff out of the fused rounds — is pinned against
+    the serial oracle."""
+    monkeypatch.setattr(batched, "_BLOCK", 64)
+    process, kwargs = case
+    for record in (False, True):
+        serial = serial_oracle(process, kwargs, record)
+        for mode in ({}, {"tail_threshold": 0}, {"tail_threshold": 16}):
+            batch = BATCHED_DRIVERS[process](
+                GRAPH,
+                0,
+                seeds=spawn_seed_sequences(PARENT_SEED, REPS),
+                record=record,
+                kernels=kernels,
+                **kwargs,
+                **mode,
+            )
+            for s, b in zip(serial, batch):
+                assert_result_identical(s, b)
+
+
+@pytest.mark.parametrize(
+    "kernels", [p for p in KERNEL_PROVIDERS if p.values[0] != "numpy"]
+)
+def test_fused_lockstep_crosses_ffi_once_per_refill_epoch(
+    kernels, counting_kernels, monkeypatch
+):
+    """On a CSR cycle the parallel driver crosses into compiled code
+    O(refills + 1) times, not O(rounds): a silent stand-down to the
+    per-round body (two kernel calls per wide round) fails here."""
+    monkeypatch.setattr(batched, "_BLOCK", 1024)
+    refills = []
+    refill_tail = UniformStreams.refill_tail
+
+    def counted_refill(self, r, ptr):
+        refills.append(r)
+        refill_tail(self, r, ptr)
+
+    monkeypatch.setattr(UniformStreams, "refill_tail", counted_refill)
+    ks, calls = counting_kernels(kernels)
+    g = cycle_graph(48)
+    batch = batched.batched_parallel_idla(
+        g, 0, seeds=spawn_seed_sequences(PARENT_SEED, 8), kernels=ks
+    )
+    rounds = max(r.dispersion_time for r in batch)
+    assert refills, "the small chunk must force refill hand-backs"
+    assert sum(calls.values()) == calls["par_rounds"] <= len(refills) + 1
+    assert 20 * calls["par_rounds"] < rounds, (dict(calls), rounds)
 
 
 @pytest.mark.parametrize("kernels", KERNEL_PROVIDERS)

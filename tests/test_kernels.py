@@ -15,17 +15,26 @@ layer's own contracts:
   irregular graphs, including the offset-clamp edge at ``u -> 1``;
 * the single-walker compiled loops against the pure-Python
   :class:`~repro.walks.single.SingleWalkKernel` path;
+* the fused lock-step kernel (``advance_rounds``) against the per-round
+  numpy path of ``batched_parallel_idla``, across refill hand-backs, the
+  tail-finisher handoff and ``max_rounds`` exhaustion;
+* the cffi library cache: a corrupted cached library is rebuilt, and the
+  cache key covers compiler, flags and platform;
 * the ``UniformStream.take_block`` handoff contract the compiled tail
   finishers consume.
 """
 
 from __future__ import annotations
 
+import os
 import pickle
 
 import numpy as np
 import pytest
 
+import repro.core.batched as batched
+import repro.kernels as kernels_pkg
+from repro.core.parallel import parallel_idla
 from repro.graphs import complete_binary_tree, cycle_graph, star_graph
 from repro.kernels import (
     KernelSet,
@@ -35,7 +44,7 @@ from repro.kernels import (
     csr_arrays,
     get_kernels,
 )
-from repro.utils.rng import UniformStream, as_generator
+from repro.utils.rng import UniformStream, as_generator, spawn_seed_sequences
 from repro.walks.single import random_walk, walk_until_hit
 
 AVAILABLE = available_kernels()
@@ -248,6 +257,261 @@ def test_walk_until_hit_limit_and_trivial_cases(provider):
     assert walk_until_hit(g, 5, [5], seed=1, kernels=provider) == 0
     with pytest.raises(RuntimeError, match="max_steps=3"):
         walk_until_hit(g, 0, [32], seed=2, max_steps=3, kernels=provider)
+
+
+# ---------------------------------------------------------------------------
+# fused lock-step rounds: advance_rounds against the per-round numpy path
+
+#: (graph, driver kwargs): irregular graphs, the random tie-break,
+#: m > n surplus particles, and lazy runs whose repetitions cross the
+#: ``scalar_threshold`` switch from wide (2k doubles) to narrow (k) rounds.
+FUSED_CASES = [
+    (star_graph(12), {}),
+    (complete_binary_tree(3), {"tie_break": "random"}),
+    (cycle_graph(10), {"num_particles": 16}),
+    (complete_binary_tree(3), {"num_particles": 20, "tie_break": "random"}),
+    (cycle_graph(16), {"lazy": True, "scalar_threshold": 5}),
+    (star_graph(9), {"lazy": True, "scalar_threshold": 3, "tie_break": "random"}),
+    (cycle_graph(8), {"lazy": True, "num_particles": 12, "scalar_threshold": 4}),
+]
+
+
+def _fused_case_id(case):
+    g, kwargs = case
+    return "-".join([g.name, *(f"{k}={v}" for k, v in sorted(kwargs.items()))])
+
+
+def _result_bytes(results):
+    return [
+        (
+            r.dispersion_time,
+            r.total_steps,
+            r.steps.tobytes(),
+            r.settled_at.tobytes(),
+            r.settle_order.tobytes(),
+        )
+        for r in results
+    ]
+
+
+@pytest.mark.parametrize("provider", COMPILED)
+@pytest.mark.parametrize("tail", [None, 0, 3], ids=["tail-default", "tail-0", "tail-3"])
+@pytest.mark.parametrize("case", FUSED_CASES, ids=_fused_case_id)
+def test_advance_rounds_matches_per_round_path(
+    provider, tail, case, counting_kernels, monkeypatch
+):
+    """Byte-identical to the numpy per-round body, with the smallest legal
+    stream chunk forcing a refill hand-back every round or two, and with
+    the tail finisher taking over mid-run (``tail-3``) or never
+    (``tail-0``: the kernel plays every round)."""
+    g, kwargs = case
+    m = kwargs.get("num_particles", g.n)
+    monkeypatch.setattr(batched, "_BLOCK", 2 * m + 2)
+    ks, calls = counting_kernels(provider)
+
+    def run(kern):
+        return batched.batched_parallel_idla(
+            g, 0, seeds=spawn_seed_sequences(5, 6), kernels=kern,
+            tail_threshold=tail, **kwargs,
+        )
+
+    assert _result_bytes(run(ks)) == _result_bytes(run("numpy"))
+    # the rounds ran fused, crossing into the kernel once per refill epoch
+    assert calls["par_rounds"] > 1
+    assert calls["csr_step"] == calls["vacant"] == calls["settle_round"] == 0
+
+
+@pytest.mark.parametrize("provider", COMPILED)
+@pytest.mark.parametrize("lazy", [False, True], ids=["simple", "lazy"])
+def test_advance_rounds_max_rounds_matches_serial_oracle(provider, lazy):
+    """``max_rounds`` exhaustion raises the serial oracle's error at the
+    same round: the slowest repetition's dispersion round passes, one
+    round less does not."""
+    g = cycle_graph(12)
+
+    def seeds():
+        return spawn_seed_sequences(3, 4)
+
+    serial = [parallel_idla(g, 0, seed=s, lazy=lazy) for s in seeds()]
+    worst = max(r.dispersion_time for r in serial)
+
+    def fused(max_rounds):
+        return batched.batched_parallel_idla(
+            g, 0, seeds=seeds(), lazy=lazy, max_rounds=max_rounds,
+            tail_threshold=0, kernels=provider,
+        )
+
+    assert _result_bytes(fused(worst)) == _result_bytes(serial)
+    with pytest.raises(RuntimeError) as serial_err:
+        for s in seeds():
+            parallel_idla(g, 0, seed=s, lazy=lazy, max_rounds=worst - 1)
+    with pytest.raises(RuntimeError) as fused_err:
+        fused(worst - 1)
+    assert str(fused_err.value) == str(serial_err.value)
+
+
+@pytest.mark.parametrize("provider", COMPILED)
+def test_self_check_rejects_a_broken_advance_rounds(provider, counting_kernels):
+    """A provider whose fused kernel misbehaves fails at selection."""
+    ks, _ = counting_kernels(provider)
+    kernels_pkg._self_check(ks)  # the faithful copy passes
+    ks._impl.par_rounds = lambda *args: 1  # "all settled" without a round
+    with pytest.raises(AssertionError):
+        kernels_pkg._self_check(ks)
+
+
+@pytest.mark.parametrize("provider", COMPILED)
+def test_advance_rounds_validates_state_before_passing_pointers(provider):
+    """The lanes are compacted in place, so a converting copy would lose
+    the result: strided or read-only state is refused up front, and so
+    are shapes and ids that would send the kernel out of bounds."""
+    ks = get_kernels(provider)
+    indptr, indices = csr_arrays(cycle_graph(3))
+
+    class Streams:
+        block = 4
+        flat = np.array([0.0, 0.0, 0.9, 0.9])
+
+    def call(**over):
+        args = dict(
+            rep_ids=np.zeros(2, dtype=np.int64),
+            pid=np.array([1, 2], dtype=np.int64),
+            pos=np.zeros(2, dtype=np.int64),
+            bptr=np.zeros(1, dtype=np.int64),
+            k=np.array([2], dtype=np.int64),
+            free=np.array([2], dtype=np.int64),
+            occ=np.array([1, 0, 0], dtype=bool),
+            steps2d=np.zeros((1, 3), dtype=np.int64),
+            settled2d=np.array([[0, -1, -1]], dtype=np.int64),
+            round2d=np.array([[0, -1, -1]], dtype=np.int64),
+            prio2d=None,
+        )
+        args.update(over)
+        return ks.advance_rounds(
+            indptr, indices, Streams(), *args.values(), t=0, lazy=False,
+            scalar_threshold=16, tail_threshold=0, budget=float("inf"),
+            limit_msg="",
+        )
+
+    assert call() == (0, 3)  # 0 -> 1 (pid 1 wins), then 1 -> 0 -> 2
+    read_only = np.zeros(2, dtype=np.int64)
+    read_only.flags.writeable = False
+    for bad in (np.zeros(4, dtype=np.int64)[::2], read_only):
+        with pytest.raises(ValueError, match="in place"):
+            call(rep_ids=bad)
+    for over in (
+        {"occ": np.zeros(2, dtype=bool)},
+        {"prio2d": np.zeros((1, 2), dtype=np.int64)},
+        {"pos": np.zeros(3, dtype=np.int64)},
+    ):
+        with pytest.raises(ValueError, match="shapes"):
+            call(**over)
+    for over in (
+        {"k": np.array([3], dtype=np.int64)},
+        {"rep_ids": np.array([0, 1], dtype=np.int64)},
+        {"pid": np.array([1, 3], dtype=np.int64)},
+        {"pos": np.array([0, -1], dtype=np.int64)},
+    ):
+        with pytest.raises(ValueError, match="out of range"):
+            call(**over)
+
+
+# ---------------------------------------------------------------------------
+# cffi library cache
+
+needs_cffi = pytest.mark.skipif(
+    not AVAILABLE.get("cffi"), reason="kernel provider 'cffi' unavailable"
+)
+
+
+@pytest.fixture
+def fresh_cffi_cache(tmp_path, monkeypatch):
+    """An empty kernel cache directory and an empty provider registry."""
+    monkeypatch.setenv("REPRO_KERNELS_CACHE", str(tmp_path))
+    monkeypatch.setattr(kernels_pkg, "_CACHE", {})
+    monkeypatch.setattr(kernels_pkg, "_FAILED", {})
+    return tmp_path
+
+
+@needs_cffi
+def test_corrupted_cached_library_is_rebuilt(fresh_cffi_cache):
+    from repro.kernels import cffi_impl
+
+    path = cffi_impl._so_path()
+    junk = b"not a shared object"
+    with open(path, "wb") as fh:
+        fh.write(junk)
+    assert get_kernels("cffi").compiled
+    with open(path, "rb") as fh:
+        assert fh.read() != junk
+
+
+@needs_cffi
+def test_cached_library_failing_self_check_is_rebuilt_once(
+    fresh_cffi_cache, monkeypatch
+):
+    from repro.kernels import cffi_impl
+
+    get_kernels("cffi")  # populate the cache
+    monkeypatch.setattr(kernels_pkg, "_CACHE", {})
+    real_check, real_discard = kernels_pkg._self_check, cffi_impl.discard
+    checks, discards = [], []
+
+    def flaky_check(ks):
+        checks.append(ks)
+        if len(checks) == 1:
+            raise AssertionError("miscompiled")
+        real_check(ks)
+
+    def spy_discard(impl):
+        discards.append(real_discard(impl))
+        return discards[-1]
+
+    monkeypatch.setattr(kernels_pkg, "_self_check", flaky_check)
+    monkeypatch.setattr(cffi_impl, "discard", spy_discard)
+    assert get_kernels("cffi").compiled
+    assert len(checks) == 2 and discards == [True]
+    assert os.path.exists(cffi_impl._so_path())
+
+
+@needs_cffi
+def test_persistent_self_check_failure_gives_up_after_one_rebuild(
+    fresh_cffi_cache, monkeypatch
+):
+    from repro.kernels import cffi_impl
+
+    real_discard = cffi_impl.discard
+    discards = []
+
+    def always_fails(ks):
+        raise AssertionError("miscompiled")
+
+    def spy_discard(impl):
+        discards.append(real_discard(impl))
+        return discards[-1]
+
+    monkeypatch.setattr(kernels_pkg, "_self_check", always_fails)
+    monkeypatch.setattr(cffi_impl, "discard", spy_discard)
+    with pytest.raises(KernelsUnavailableError, match="miscompiled"):
+        get_kernels("cffi")
+    assert discards == [True]
+
+
+def test_cache_key_covers_compiler_flags_and_platform(monkeypatch):
+    from repro.kernels import cffi_impl
+
+    keys = {cffi_impl._so_path()}
+    variants = [
+        lambda mp: mp.setenv("CC", "another-cc"),
+        lambda mp: mp.setattr(cffi_impl, "_CFLAGS", (*cffi_impl._CFLAGS, "-g")),
+        lambda mp: mp.setattr(cffi_impl.sys, "platform", "elsewhere"),
+        lambda mp: mp.setattr(cffi_impl.platform, "machine", lambda: "other-arch"),
+    ]
+    for vary in variants:
+        with monkeypatch.context() as mp:
+            vary(mp)
+            keys.add(cffi_impl._so_path())
+    assert len(keys) == 1 + len(variants)
 
 
 # ---------------------------------------------------------------------------
