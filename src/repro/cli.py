@@ -117,19 +117,11 @@ def build_parser() -> argparse.ArgumentParser:
         "without changing any sample",
     )
     run.add_argument(
-        "--backend",
-        default=None,
-        metavar="NAME",
-        help="array backend for the lock-step drivers (registered name, "
-        "e.g. numpy_strict); unset, the REPRO_BACKEND environment "
-        "variable then the numpy default apply",
-    )
-    run.add_argument(
         "--kernels",
         default=None,
         metavar="NAME",
         help="compiled inner-loop kernel provider for the lock-step "
-        "drivers (numba, cffi, numpy); unset, the REPRO_KERNELS "
+        "drivers (cffi, numpy); unset, the REPRO_KERNELS "
         "environment variable then auto-detection apply",
     )
 
@@ -234,14 +226,6 @@ def _cmd_run(args, out) -> int:
 
         try:
             kwargs["state_budget"] = parse_state_budget(args.state_budget)
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-    if args.backend is not None:
-        from repro.backends import get_backend
-
-        try:
-            kwargs["backend"] = get_backend(args.backend)
         except ValueError as exc:
             print(str(exc), file=sys.stderr)
             return 2

@@ -18,9 +18,12 @@ from repro.experiments.runner import (
     run_process,
 )
 from repro.experiments.stats import (
+    AnytimeKS,
+    KSVerdict,
     SummaryStats,
     bootstrap_ci,
     empirical_quantile,
+    ks_statistic,
     summarize,
 )
 from repro.experiments.sweep import SweepPoint, SweepResult, sweep_dispersion
@@ -46,6 +49,9 @@ __all__ = [
     "AdaptiveInfo",
     "SummaryStats",
     "summarize",
+    "AnytimeKS",
+    "KSVerdict",
+    "ks_statistic",
     "bootstrap_ci",
     "empirical_quantile",
     "fit_power_law",

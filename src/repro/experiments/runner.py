@@ -103,7 +103,6 @@ _BATCHED_KWARGS = {
         "max_rounds",
         "tail_threshold",
         "state_budget",
-        "backend",
         "kernels",
     },
     "sequential": {
@@ -114,7 +113,6 @@ _BATCHED_KWARGS = {
         "max_total_steps",
         "tail_threshold",
         "state_budget",
-        "backend",
         "kernels",
     },
     "uniform": {
@@ -123,11 +121,10 @@ _BATCHED_KWARGS = {
         "num_particles",
         "max_ticks",
         "state_budget",
-        "backend",
         "kernels",
     },
-    "ctu": {"rate", "record", "num_particles", "state_budget", "backend", "kernels"},
-    "c-sequential": {"rate", "record", "state_budget", "backend", "kernels"},
+    "ctu": {"rate", "record", "num_particles", "state_budget", "kernels"},
+    "c-sequential": {"rate", "record", "state_budget", "kernels"},
 }
 
 #: Batched-only performance knobs: understood by (some of) the lock-step
@@ -136,16 +133,10 @@ _BATCHED_KWARGS = {
 #: of crashing the fallback.  Pure performance knobs — stripping never
 #: changes a sample.  ``state_budget`` qualifies because the serial
 #: drivers are inherently one-repetition-resident: running them *is* the
-#: tightest cohort a budget could ask for.  ``backend`` qualifies because
-#: the serial drivers are the host-numpy reference oracles: every
-#: registered exact-bitstream backend replays their streams double for
-#: double, so the serial path *is* the backend-independent answer.
-#: ``kernels`` qualifies for the same reason ``backend`` does: the
-#: compiled providers are pinned bit-identical to the serial loops, so
-#: the serial path already is the kernel-independent answer.
-_BATCHED_ONLY_KWARGS = frozenset(
-    {"tail_threshold", "state_budget", "backend", "kernels"}
-)
+#: tightest cohort a budget could ask for.  ``kernels`` qualifies
+#: because the compiled providers are pinned bit-identical to the serial
+#: loops, so the serial path already is the kernel-independent answer.
+_BATCHED_ONLY_KWARGS = frozenset({"tail_threshold", "state_budget", "kernels"})
 
 
 def serial_kwargs(process: str, kwargs: dict) -> dict:
@@ -594,16 +585,6 @@ def estimate_dispersion(
         applies per worker and shards align to whole cohorts.  Budgets
         never change a sample — every cohort shape replays the serial
         streams bit for bit.
-        ``backend=`` (a registered name like ``"numpy_strict"`` or an
-        :class:`repro.backends.ArrayBackend` instance) selects the array
-        backend the lock-step drivers execute on; unset, the
-        ``REPRO_BACKEND`` environment variable and then the ``numpy``
-        default apply.  Backends pickle by registry name, so the kwarg
-        fans out to shard workers unchanged.  Serial paths strip it
-        (they are the host-numpy reference oracles); exact-bitstream
-        backends never change a sample, and non-bitstream backends are
-        instead held to the statistical contract of
-        :mod:`repro.backends.contract`.
 
     Examples
     --------

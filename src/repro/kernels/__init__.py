@@ -4,14 +4,13 @@ The lock-step drivers are pure array programs, but two costs survive the
 vectorisation: per-round numpy dispatch (a fixed number of ufunc calls
 whose overhead dominates once the live-walker count is small) and the
 scalar tail finisher's plain-Python micro-loops.  This package provides
-optional compiled replacements — the pattern scikit-learn applies with
-its Cython layer — behind a registry that resolves exactly like
-:mod:`repro.backends`:
+an optional compiled replacement — the pattern scikit-learn applies with
+its Cython layer — resolved as:
 
 1. an explicit ``kernels=`` argument (name or :class:`KernelSet`),
 2. the ``REPRO_KERNELS`` environment variable,
-3. auto-detection: ``numba`` if importable, else the ``cffi`` provider
-   (the C twins compiled with the system toolchain), else ``numpy``.
+3. auto-detection: the ``cffi`` provider when cffi and a C compiler are
+   present, else ``numpy``.
 
 Providers
 ---------
@@ -19,22 +18,19 @@ Providers
     The existing vectorised/scalar code paths — no compiled code, always
     available.  ``compiled=False`` makes every driver keep its current
     body, so forcing ``REPRO_KERNELS=numpy`` is the honest fallback mode.
-``numba``
-    ``@njit`` kernels (:mod:`repro.kernels.numba_impl`); selected only
-    when numba imports, compiled and self-checked at selection time.
 ``cffi``
-    The same kernels as C (:mod:`repro.kernels._csource`), built once
-    with the system compiler and opened in cffi ABI mode.
+    The kernels as C (:mod:`repro.kernels._csource`), built once with the
+    system compiler (``$CC``, default ``cc``) and opened in cffi ABI mode.
 
 Bit-identity contract
 ---------------------
-Compiled kernels activate only on ``exact_bitstream=True`` numpy-family
-backends and only for materialised-CSR graphs (:func:`csr_arrays`); the
-differential harness in ``tests/test_differential_drivers.py`` pins every
-swapped kernel against the serial oracles, double for double.  Each
-provider passes a load-time self-check (:func:`_self_check`) exercising
-all eight entry points before it can be selected, so a miscompiled or
-mis-installed provider fails at resolution, not mid-run.
+Compiled kernels activate only for materialised-CSR graphs
+(:func:`csr_arrays`); the differential harness in
+``tests/test_differential_drivers.py`` pins every swapped kernel against
+the serial oracles, double for double.  The provider passes a load-time
+self-check (:func:`_self_check`) exercising all eight entry points before
+it can be selected, so a miscompiled or mis-installed provider fails at
+resolution, not mid-run.
 
 Fused lock-step
 ---------------
@@ -71,7 +67,7 @@ __all__ = [
 ENV_VAR = "REPRO_KERNELS"
 
 #: Auto-detection preference; ``numpy`` is the implicit final fallback.
-_AUTO_ORDER = ("numba", "cffi")
+_AUTO_ORDER = ("cffi",)
 
 _I64 = np.dtype(np.int64)
 _F64 = np.dtype(np.float64)
@@ -90,9 +86,9 @@ def csr_arrays(g) -> tuple[np.ndarray, np.ndarray] | None:
 
     Implicit families expose no ``indptr``/``indices`` (their slot kernel
     is arithmetic, and materialising would defeat their O(1)-in-n
-    footprint), and device-backend graphs hold non-host arrays; both keep
-    the numpy path.  :class:`repro.graphs.csr.Graph` stores both arrays
-    C-contiguous ``int64``, which is exactly what the kernels consume.
+    footprint), so they keep the numpy path.
+    :class:`repro.graphs.csr.Graph` stores both arrays C-contiguous
+    ``int64``, which is exactly what the kernels consume.
     """
     indptr = getattr(g, "indptr", None)
     indices = getattr(g, "indices", None)
@@ -201,7 +197,7 @@ class NumpyKernels(KernelSet):
 
 
 class CompiledKernels(KernelSet):
-    """Wrapper over a low-level provider (numba module or cffi namespace).
+    """Wrapper over the low-level cffi provider namespace.
 
     The loop kernels speak a shared buffer protocol: they consume
     uniforms from the array they were handed and return ``0`` when it
@@ -464,10 +460,9 @@ class _RowFeeder(_BlockFeeder):
 def _self_check(ks: CompiledKernels) -> None:
     """Exercise all eight kernels on the path graph P3 and assert the answers.
 
-    Forces numba to compile all kernels at selection time (a broken
-    install fails here, loudly) and catches toolchain miscompiles for the
-    cffi provider.  Inputs cross a buffer-refill boundary so the resume
-    protocol is checked too.
+    Catches toolchain miscompiles and broken cached libraries at
+    selection time, loudly.  Inputs cross a buffer-refill boundary so the
+    resume protocol is checked too.
     """
     indptr = np.array([0, 1, 3, 4], dtype=np.int64)
     indices = np.array([1, 0, 2, 1], dtype=np.int64)
@@ -564,14 +559,15 @@ _FAILED: dict[str, str] = {}
 
 
 def _dep_present(name: str) -> bool:
-    if name == "numba":
-        return find_spec("numba") is not None
     if name == "cffi":
         if find_spec("cffi") is None:
             return False
         from shutil import which
 
-        return which(os.environ.get("CC") or "cc") is not None
+        from repro.kernels.cffi_impl import compiler_argv
+
+        argv = compiler_argv()
+        return bool(argv) and which(argv[0]) is not None
     return True
 
 
@@ -604,13 +600,7 @@ def _load(name: str) -> KernelSet:
         ks: KernelSet = NumpyKernels()
     elif name in _AUTO_ORDER:
         try:
-            if name == "numba":
-                from repro.kernels import numba_impl
-
-                ks = CompiledKernels("numba", numba_impl)
-                _self_check(ks)
-            else:
-                ks = _load_cffi()
+            ks = _load_cffi()
         except Exception as exc:
             _FAILED[name] = f"{type(exc).__name__}: {exc}"
             raise KernelsUnavailableError(
@@ -650,8 +640,8 @@ def get_kernels(spec: str | KernelSet | None = None) -> KernelSet:
     :class:`KernelSet` instance passes through unchanged.  An explicitly
     requested provider that cannot initialise raises
     :class:`KernelsUnavailableError` (a ``ValueError``); under
-    auto-detection a *present but broken* provider warns and the next one
-    is tried — numba simply being absent stays silent.
+    auto-detection a *present but broken* provider warns and numpy is
+    used — cffi or a compiler simply being absent stays silent.
     """
     if isinstance(spec, KernelSet):
         return spec

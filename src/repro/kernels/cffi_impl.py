@@ -1,7 +1,7 @@
 """cffi kernel provider: the C kernels compiled with the system toolchain.
 
 The provider that makes the compiled layer available wherever a C
-compiler is — no numba wheel required.  ``load()`` compiles
+compiler is.  ``load()`` compiles
 :data:`repro.kernels._csource.C_SOURCE` once into a shared object cached
 under a path keyed by the source, compiler, flags and platform
 (``$REPRO_KERNELS_CACHE``, defaulting to a per-user directory below the
@@ -22,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import os
 import platform
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -43,16 +44,22 @@ def _cache_dir() -> str:
     return os.path.join(tempfile.gettempdir(), f"repro-kernels-{uid}")
 
 
-def _compiler() -> str:
-    return os.environ.get("CC") or "cc"
+def compiler_argv() -> list[str]:
+    """``$CC`` (default ``cc``) split like a shell would split it, so a
+    multi-word value such as ``gcc -std=c99`` names the executable
+    ``gcc`` plus its leading flags."""
+    return shlex.split(os.environ.get("CC") or "cc")
 
 
 def _so_path() -> str:
     """Cached library path, keyed by everything that shapes the binary:
-    the C source, the resolved compiler, the flags and the platform."""
-    cc = _compiler()
+    the C source, the resolved compiler argv, the flags and the platform."""
+    cc, *cc_flags = compiler_argv()
     key = "\0".join(
-        (C_SOURCE, which(cc) or cc, *_CFLAGS, sys.platform, platform.machine())
+        (
+            C_SOURCE, which(cc) or cc, *cc_flags, *_CFLAGS,
+            sys.platform, platform.machine(),
+        )
     )
     digest = hashlib.sha256(key.encode()).hexdigest()[:16]
     return os.path.join(_cache_dir(), f"repro_kernels_{digest}.so")
@@ -65,20 +72,20 @@ def _ensure_built() -> str:
         return so_path
     cache = os.path.dirname(so_path)
     os.makedirs(cache, exist_ok=True)
-    cc = _compiler()
+    argv = compiler_argv()
     fd, c_path = tempfile.mkstemp(dir=cache, suffix=".c")
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(C_SOURCE)
         tmp_so = c_path[:-2] + ".so"
         proc = subprocess.run(
-            [cc, *_CFLAGS, "-o", tmp_so, c_path],
+            [*argv, *_CFLAGS, "-o", tmp_so, c_path],
             capture_output=True,
             text=True,
         )
         if proc.returncode != 0:
             raise RuntimeError(
-                f"{cc} failed to build the kernel library "
+                f"{shlex.join(argv)} failed to build the kernel library "
                 f"(exit {proc.returncode}): {proc.stderr.strip()[-500:]}"
             )
         # atomic within the cache dir: concurrent builders race benignly
@@ -113,11 +120,11 @@ def discard(impl: SimpleNamespace) -> bool:
 def load() -> SimpleNamespace:
     """Build/open the library and return the low-level impl namespace.
 
-    The returned callables follow the provider protocol shared with
-    :mod:`repro.kernels.numba_impl`: numpy arrays in, scalar status codes
-    out.  Arrays must be C-contiguous with the protocol dtypes (``int64``
-    walkers/CSR, ``float64`` uniforms, ``uint8`` occupancy) — the
-    ``KernelSet`` wrappers in the package root guarantee that.
+    The returned callables follow the provider protocol: numpy arrays
+    in, scalar status codes out.  Arrays must be C-contiguous with the
+    protocol dtypes (``int64`` walkers/CSR, ``float64`` uniforms,
+    ``uint8`` occupancy) — the ``KernelSet`` wrappers in the package root
+    guarantee that.
     """
     import cffi
 

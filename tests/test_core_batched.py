@@ -204,6 +204,9 @@ def test_runner_batched_rejects_unsupported_kwargs():
         estimate_dispersion(
             g, "parallel", reps=4, seed=0, batched=True, faithful_r=True
         )
+    # the removed array-backend option fails loudly, not silently ignored
+    with pytest.raises(TypeError, match="'backend'.*accepted options"):
+        estimate_dispersion(g, "parallel", reps=4, seed=0, backend="numpy")
     with pytest.raises(KeyError, match="unknown process"):
         estimate_dispersion(g, "unknown-process", reps=4, seed=0, batched=True)
     with pytest.raises(ValueError, match="batched must be"):

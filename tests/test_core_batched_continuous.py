@@ -299,6 +299,9 @@ def test_runner_batched_rejects_unsupported_kwargs():
         estimate_dispersion(g, "ctu", reps=4, seed=0, batched=True, faithful_r=True)
     with pytest.raises(TypeError, match="rate"):
         estimate_dispersion(g, "uniform", reps=4, seed=0, batched=True, rate=2.0)
+    # the removed array-backend option fails loudly, not silently ignored
+    with pytest.raises(TypeError, match="'backend'.*accepted options"):
+        estimate_dispersion(g, "ctu", reps=4, seed=0, backend="numpy")
     # record / faithful_r are no longer serial-only: forced batching
     # accepts them and the estimate carries the recorded artefacts
     est = estimate_dispersion(

@@ -2,7 +2,8 @@
 
 The CDF oracle cross-validates three ways: against the independent-
 geometric closed form on the clique, against the expected-max formula,
-and against the Monte-Carlo driver on several small graphs.
+and against the Monte-Carlo driver on several small graphs — in the mean,
+and as a whole distribution through the anytime-valid KS gate.
 """
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 
 from repro.bounds import expected_max_geometric_sum
 from repro.core import sequential_idla
+from repro.experiments import AnytimeKS, estimate_dispersion
 from repro.graphs import complete_graph, cycle_graph, path_graph, star_graph
 from repro.markov import (
     exact_expected_sequential_dispersion,
@@ -101,3 +103,35 @@ class TestExpectedDispersion:
         exact = exact_expected_sequential_dispersion(g)
         per = analyze_sequential_idla(g).expected_steps_per_particle
         assert exact >= per.max() - 1e-9
+
+
+def _inverse_cdf_draws(cdf: np.ndarray, size: int, seed) -> np.ndarray:
+    """``size`` draws of tau from its exact CDF over ``t = 0..t_max``."""
+    u = np.random.default_rng(seed).random(size)
+    return np.searchsorted(np.maximum.accumulate(cdf), u, side="left")
+
+
+class TestSerialMatchesExactLaw:
+    """The simulated sequential process has the exact dispersion law."""
+
+    @pytest.mark.parametrize(
+        "g",
+        [path_graph(3), star_graph(5), cycle_graph(5), complete_graph(4)],
+        ids=lambda g: g.name,
+    )
+    def test_ks_gate_accepts_exact_and_rejects_lazy(self, g):
+        reps = 2000
+        taus = estimate_dispersion(
+            g, "sequential", reps=reps, seed=stable_seed("ks-exact", g.name)
+        ).samples
+        exact = sequential_dispersion_cdf(g, 0, t_max=400)
+        verdict = AnytimeKS(alpha=0.01).update(
+            taus, _inverse_cdf_draws(exact, reps, stable_seed("ks-draws", g.name))
+        )
+        assert not verdict.reject, (verdict.statistic, verdict.threshold)
+        # power: the lazy walk's law is visibly different
+        lazy = sequential_dispersion_cdf(g, 0, t_max=400, lazy=True)
+        verdict = AnytimeKS(alpha=0.01).update(
+            taus, _inverse_cdf_draws(lazy, reps, stable_seed("ks-lazy", g.name))
+        )
+        assert verdict.reject, (verdict.statistic, verdict.threshold)

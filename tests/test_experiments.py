@@ -5,13 +5,16 @@ import json
 import numpy as np
 import pytest
 
+import repro.experiments.stats as stats_mod
 from repro.experiments import (
+    AnytimeKS,
     bootstrap_ci,
     empirical_quantile,
     estimate_dispersion,
     fit_constant,
     fit_power_law,
     format_value,
+    ks_statistic,
     load_json,
     render_table,
     run_process,
@@ -59,6 +62,67 @@ class TestStats:
     def test_format(self):
         s = summarize([1.0, 2.0, 3.0])
         assert "median" in s.format()
+
+
+class TestAnytimeKS:
+    def test_ks_statistic_matches_definition(self):
+        x = [1.0, 2.0, 3.0]
+        y = [1.0, 2.0, 3.0]
+        assert ks_statistic(x, y) == 0.0
+        assert ks_statistic([0.0] * 4, [1.0] * 4) == 1.0
+        with pytest.raises(ValueError, match="non-empty"):
+            ks_statistic([], [1.0])
+
+    def test_equal_distributions_survive_many_checkpoints(self):
+        rng = np.random.default_rng(1)
+        gate = AnytimeKS(alpha=0.05)
+        for _ in range(50):
+            v = gate.update(rng.exponential(5.0, 40), rng.exponential(5.0, 40))
+            assert not v.reject, (v.statistic, v.threshold)
+        assert v.checks == 50 and v.margin > 0
+
+    def test_shifted_distribution_is_eventually_rejected(self):
+        rng = np.random.default_rng(2)
+        gate = AnytimeKS(alpha=0.05)
+        for _ in range(60):
+            v = gate.update(
+                rng.exponential(5.0, 200), rng.exponential(9.0, 200)
+            )
+            if v.reject:
+                break
+        assert v.reject and v.margin < 0
+
+    def test_rejection_is_sticky(self):
+        gate = AnytimeKS(alpha=0.2)
+        first = None
+        for _ in range(40):
+            first = gate.update(np.zeros(50), np.ones(50))
+            if first.reject:
+                break
+        assert first is not None and first.reject
+        again = gate.update(np.zeros(5), np.zeros(5))
+        assert again is first  # the rejecting verdict is frozen
+
+    def test_lanes_may_progress_unevenly(self):
+        rng = np.random.default_rng(3)
+        gate = AnytimeKS()
+        gate.update(rng.normal(size=30), rng.normal(size=5))
+        v = gate.update([], rng.normal(size=25))
+        assert v.n_x == 30 and v.n_y == 30
+
+    def test_first_checkpoint_requires_both_lanes(self):
+        gate = AnytimeKS()
+        with pytest.raises(ValueError, match="both lanes"):
+            gate.update([1.0, 2.0], [])
+
+    def test_alpha_validation(self):
+        with pytest.raises(ValueError, match="alpha"):
+            AnytimeKS(alpha=0.0)
+
+    def test_module_reference_is_exported(self):
+        # callers import these from the package root
+        assert stats_mod.AnytimeKS is AnytimeKS
+        assert stats_mod.ks_statistic is ks_statistic
 
 
 class TestRunner:

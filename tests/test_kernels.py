@@ -18,8 +18,9 @@ layer's own contracts:
 * the fused lock-step kernel (``advance_rounds``) against the per-round
   numpy path of ``batched_parallel_idla``, across refill hand-backs, the
   tail-finisher handoff and ``max_rounds`` exhaustion;
-* the cffi library cache: a corrupted cached library is rebuilt, and the
-  cache key covers compiler, flags and platform;
+* the cffi library cache: a corrupted cached library is rebuilt, a
+  multi-word ``$CC`` builds, and the cache key covers compiler, flags
+  and platform;
 * the ``UniformStream.take_block`` handoff contract the compiled tail
   finishers consume.
 """
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import os
 import pickle
+import shutil
 
 import numpy as np
 import pytest
@@ -107,12 +109,14 @@ def test_auto_never_raises():
     assert isinstance(get_kernels("auto"), KernelSet)
 
 
-@pytest.mark.parametrize(
-    "name", [n for n, ok in sorted(AVAILABLE.items()) if not ok]
-)
-def test_explicitly_requesting_missing_provider_raises(name):
-    with pytest.raises(KernelsUnavailableError, match=name):
-        get_kernels(name)
+def test_explicitly_requesting_missing_provider_raises(fresh_cffi_cache, monkeypatch):
+    # no compiler on PATH: an explicit request fails loudly, auto-detection
+    # falls back to numpy silently
+    monkeypatch.setenv("CC", "definitely-not-a-compiler")
+    with pytest.raises(KernelsUnavailableError, match="cffi"):
+        get_kernels("cffi")
+    assert available_kernels()["cffi"] is False
+    assert get_kernels("auto").name == "numpy"
 
 
 @pytest.mark.parametrize("name", [n for n, ok in sorted(AVAILABLE.items()) if ok])
@@ -497,12 +501,24 @@ def test_persistent_self_check_failure_gives_up_after_one_rebuild(
     assert discards == [True]
 
 
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no cc on PATH")
+def test_multi_word_cc_builds_the_cffi_provider(fresh_cffi_cache, monkeypatch):
+    # $CC is split like a shell would: "cc -std=c99" is the compiler cc
+    # plus a flag, not one executable name
+    monkeypatch.setenv("CC", "cc -std=c99")
+    assert get_kernels("cffi").name == "cffi"
+    monkeypatch.setattr(kernels_pkg, "_CACHE", {})
+    assert get_kernels("auto").name == "cffi"
+    assert available_kernels()["cffi"] is True
+
+
 def test_cache_key_covers_compiler_flags_and_platform(monkeypatch):
     from repro.kernels import cffi_impl
 
     keys = {cffi_impl._so_path()}
     variants = [
         lambda mp: mp.setenv("CC", "another-cc"),
+        lambda mp: mp.setenv("CC", "cc -std=c99"),
         lambda mp: mp.setattr(cffi_impl, "_CFLAGS", (*cffi_impl._CFLAGS, "-g")),
         lambda mp: mp.setattr(cffi_impl.sys, "platform", "elsewhere"),
         lambda mp: mp.setattr(cffi_impl.platform, "machine", lambda: "other-arch"),
