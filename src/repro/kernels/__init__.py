@@ -566,8 +566,7 @@ def _dep_present(name: str) -> bool:
 
         from repro.kernels.cffi_impl import compiler_argv
 
-        argv = compiler_argv()
-        return bool(argv) and which(argv[0]) is not None
+        return which(compiler_argv()[0]) is not None
     return True
 
 

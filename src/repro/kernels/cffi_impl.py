@@ -47,8 +47,9 @@ def _cache_dir() -> str:
 def compiler_argv() -> list[str]:
     """``$CC`` (default ``cc``) split like a shell would split it, so a
     multi-word value such as ``gcc -std=c99`` names the executable
-    ``gcc`` plus its leading flags."""
-    return shlex.split(os.environ.get("CC") or "cc")
+    ``gcc`` plus its leading flags.  An unset, empty or blank ``$CC``
+    means ``cc``."""
+    return shlex.split(os.environ.get("CC", "")) or ["cc"]
 
 
 def _so_path() -> str:

@@ -5,6 +5,7 @@ import io
 import pytest
 
 from repro.cli import build_parser, main
+from repro.kernels import available_kernels
 
 
 def run_cli(*argv) -> tuple[int, str]:
@@ -122,6 +123,36 @@ class TestRun:
             "run", "complete", "32", "--ci-rel", "-0.1"
         )
         assert code == 2
+
+    def test_run_rejects_removed_backend_flag(self):
+        # the drivers call numpy directly; the array-library flag is gone
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run", "cycle", "8", "--backend", "numpy"])
+
+    @pytest.mark.parametrize(
+        "kernels",
+        [
+            pytest.param(
+                name,
+                marks=()
+                if ok
+                else pytest.mark.skip(reason=f"kernel provider {name!r} unavailable"),
+            )
+            for name, ok in sorted(available_kernels().items())
+        ],
+    )
+    def test_run_kernels_flag_is_invisible_in_output(self, kernels):
+        # a kernel provider is a pure performance choice: same seed, same text
+        argv = ("run", "cycle", "16", "--process", "parallel", "--reps", "4")
+        argv += ("--batched", "true")
+        code, ref = run_cli(*argv)
+        assert code == 0
+        assert run_cli(*argv, "--kernels", kernels) == (0, ref)
+
+    def test_run_unknown_kernels_provider_exits_2(self, capsys):
+        code, _ = run_cli("run", "cycle", "16", "--kernels", "cuda")
+        assert code == 2
+        assert "unknown kernel provider 'cuda'" in capsys.readouterr().err
 
 
 class TestSweep:

@@ -224,6 +224,49 @@ def test_runner_batched_rejects_unsupported_kwargs():
     assert ref.trajectories == forced.trajectories
 
 
+def _former_backend_call_sites():
+    """``(id, call)`` for each non-driver signature that took ``backend=``."""
+    from repro.core.settlement import chunked_vacancies, settle_vacant_starts
+    from repro.core.trajectory import ScheduleStore, TrajectoryStore
+    from repro.graphs.csr import Graph
+    from repro.graphs.implicit import ImplicitGraph
+    from repro.utils.rng import UniformStreams, spawn_generators
+
+    g = cycle_graph(8)
+    occupied = np.zeros(8, dtype=bool)
+    starts = np.zeros(4, dtype=np.int64)
+    rep_off = np.zeros(4, dtype=np.int64)
+    return [
+        ("Graph", lambda **kw: Graph(g.indptr, g.indices, **kw)),
+        ("ImplicitGraph", lambda **kw: ImplicitGraph(8, "implicit", 2, **kw)),
+        ("WalkEngine", lambda **kw: WalkEngine(g, seed=0, **kw)),
+        ("UniformStreams", lambda **kw: UniformStreams(spawn_generators(0, 2), **kw)),
+        ("TrajectoryStore", lambda **kw: TrajectoryStore(starts.reshape(2, 2), **kw)),
+        ("ScheduleStore", lambda **kw: ScheduleStore(2, **kw)),
+        (
+            "settle_vacant_starts",
+            lambda **kw: settle_vacant_starts(occupied, starts, np.arange(4), **kw),
+        ),
+        (
+            "chunked_vacancies",
+            lambda **kw: chunked_vacancies(occupied, rep_off, starts, **kw),
+        ),
+    ]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [pytest.param(call, id=name) for name, call in _former_backend_call_sites()],
+)
+def test_former_backend_call_sites_reject_the_keyword(call):
+    """The array-library option is gone everywhere it was accepted: passing
+    it raises instead of being silently ignored, and the call itself still
+    works without it."""
+    with pytest.raises(TypeError, match="backend"):
+        call(backend="numpy")
+    call()
+
+
 def test_runner_auto_dispatch_serialises_stateful_rules():
     """Auto dispatch must not batch rules it cannot prove pure: the batched
     drivers evaluate rules on fewer (particle, vertex) pairs, so a stateful

@@ -31,6 +31,11 @@ each implicit case pins cross-build bit-identity through every driver —
 including the descriptor round-trip across the ``n_jobs=2`` shard
 boundary, where the implicit graph ships as ``(family, params)`` instead
 of a shared-memory segment.
+
+The drivers call numpy directly.  The array-library option they once
+took (``backend=``) is gone; the ``backend`` axis now pins that passing
+it fails loudly at every driver and at the runner, while the drivers
+keep replaying the serial oracle without it.
 """
 
 from __future__ import annotations
@@ -239,6 +244,41 @@ def test_budgeted_estimates_match_serial_oracle(case):
         )
         assert np.array_equal(est.samples, tau), mode
         assert est.trajectories == trajectories, mode
+
+
+@pytest.mark.parametrize("backend", ["numpy"])
+@pytest.mark.parametrize("case", CASES, ids=case_id)
+def test_backend_axis_matches_serial_oracle(case, backend):
+    """The removed ``backend=`` option is rejected; numpy replays the oracle.
+
+    ``backend`` is the option's old default value.  Every lock-step
+    driver and the runner, in both dispatch modes, reject it with a
+    ``TypeError`` instead of silently ignoring it, so an old caller
+    learns the option is gone.  Called without it, the driver — which
+    calls numpy directly — still replays the serial oracle bit for bit."""
+    process, kwargs = case
+    extras = EXTRAS.get(process, ())
+    if kwargs.get("faithful_r"):
+        extras = (*extras, "schedule")
+    seeds = spawn_seed_sequences(PARENT_SEED, REPS)
+    with pytest.raises(TypeError, match="backend"):
+        BATCHED_DRIVERS[process](GRAPH, 0, seeds=seeds, backend=backend, **kwargs)
+    for mode in (True, False):
+        with pytest.raises(TypeError, match="'backend'.*accepted options"):
+            estimate_dispersion(
+                GRAPH,
+                process,
+                reps=REPS,
+                seed=PARENT_SEED,
+                batched=mode,
+                backend=backend,
+                **kwargs,
+            )
+    serial = serial_oracle(process, kwargs, False)
+    batch = BATCHED_DRIVERS[process](GRAPH, 0, seeds=seeds, **kwargs)
+    assert len(batch) == REPS
+    for s, b in zip(serial, batch):
+        assert_result_identical(s, b, extras)
 
 
 #: Kernel providers forced through the drivers: ``numpy`` is the always-

@@ -12,7 +12,16 @@ import pytest
 from repro.bounds import expected_max_geometric_sum
 from repro.core import sequential_idla
 from repro.experiments import AnytimeKS, estimate_dispersion
-from repro.graphs import complete_graph, cycle_graph, path_graph, star_graph
+from repro.graphs import (
+    barbell_graph,
+    complete_graph,
+    cycle_graph,
+    grid_graph,
+    hypercube_graph,
+    lollipop_graph,
+    path_graph,
+    star_graph,
+)
 from repro.markov import (
     exact_expected_sequential_dispersion,
     sequential_dispersion_cdf,
@@ -111,27 +120,90 @@ def _inverse_cdf_draws(cdf: np.ndarray, size: int, seed) -> np.ndarray:
     return np.searchsorted(np.maximum.accumulate(cdf), u, side="left")
 
 
+#: Tiny graphs for the whole-law gate: the four symmetric/regular
+#: shapes plus irregular ones (a clique on a path, a bridge between
+#: cliques, a grid, a hypercube) where the aggregate order matters.
+KS_GRAPHS = [
+    path_graph(3),
+    star_graph(5),
+    cycle_graph(5),
+    complete_graph(4),
+    lollipop_graph(6),
+    barbell_graph(3, 1),
+    grid_graph(2, 3),
+    hypercube_graph(3),
+    path_graph(5),
+]
+
+
+def _ks_verdict(taus, cdf, seed):
+    return AnytimeKS(alpha=0.01).update(
+        taus, _inverse_cdf_draws(cdf, taus.size, seed)
+    )
+
+
 class TestSerialMatchesExactLaw:
     """The simulated sequential process has the exact dispersion law."""
 
-    @pytest.mark.parametrize(
-        "g",
-        [path_graph(3), star_graph(5), cycle_graph(5), complete_graph(4)],
-        ids=lambda g: g.name,
-    )
+    @pytest.mark.parametrize("g", KS_GRAPHS, ids=lambda g: g.name)
     def test_ks_gate_accepts_exact_and_rejects_lazy(self, g):
         reps = 2000
         taus = estimate_dispersion(
             g, "sequential", reps=reps, seed=stable_seed("ks-exact", g.name)
         ).samples
         exact = sequential_dispersion_cdf(g, 0, t_max=400)
-        verdict = AnytimeKS(alpha=0.01).update(
-            taus, _inverse_cdf_draws(exact, reps, stable_seed("ks-draws", g.name))
-        )
+        verdict = _ks_verdict(taus, exact, stable_seed("ks-draws", g.name))
         assert not verdict.reject, (verdict.statistic, verdict.threshold)
         # power: the lazy walk's law is visibly different
         lazy = sequential_dispersion_cdf(g, 0, t_max=400, lazy=True)
-        verdict = AnytimeKS(alpha=0.01).update(
-            taus, _inverse_cdf_draws(lazy, reps, stable_seed("ks-lazy", g.name))
-        )
+        verdict = _ks_verdict(taus, lazy, stable_seed("ks-lazy", g.name))
+        assert verdict.reject, (verdict.statistic, verdict.threshold)
+
+    @pytest.mark.parametrize("g", KS_GRAPHS, ids=lambda g: g.name)
+    def test_ks_gate_accepts_lazy_law_and_rejects_simple(self, g):
+        # the lazy walk holds w.p. 1/2, so its times run about twice as
+        # long: a wider t_max keeps the truncated tail negligible
+        reps = 2000
+        taus = estimate_dispersion(
+            g,
+            "sequential",
+            reps=reps,
+            lazy=True,
+            seed=stable_seed("ks-lazy-run", g.name),
+        ).samples
+        lazy = sequential_dispersion_cdf(g, 0, t_max=800, lazy=True)
+        verdict = _ks_verdict(taus, lazy, stable_seed("ks-lazy-draws", g.name))
+        assert not verdict.reject, (verdict.statistic, verdict.threshold)
+        simple = sequential_dispersion_cdf(g, 0, t_max=800)
+        verdict = _ks_verdict(taus, simple, stable_seed("ks-simple", g.name))
+        assert verdict.reject, (verdict.statistic, verdict.threshold)
+
+    @pytest.mark.parametrize(
+        "g, origin",
+        [
+            (path_graph(3), 1),
+            (path_graph(4), 1),
+            (star_graph(5), 1),
+            (lollipop_graph(6), 5),
+            (barbell_graph(3, 1), 3),
+            (grid_graph(2, 3), 1),
+        ],
+        ids=lambda x: getattr(x, "name", str(x)),
+    )
+    def test_ks_gate_tracks_the_origin(self, g, origin):
+        # from a non-root origin the law is the exact one for that origin,
+        # and visibly not the law from vertex 0
+        reps = 2000
+        taus = estimate_dispersion(
+            g,
+            "sequential",
+            reps=reps,
+            origin=origin,
+            seed=stable_seed("ks-origin", g.name, origin),
+        ).samples
+        exact = sequential_dispersion_cdf(g, origin, t_max=400)
+        verdict = _ks_verdict(taus, exact, stable_seed("ks-origin-draws", g.name))
+        assert not verdict.reject, (verdict.statistic, verdict.threshold)
+        root = sequential_dispersion_cdf(g, 0, t_max=400)
+        verdict = _ks_verdict(taus, root, stable_seed("ks-root", g.name))
         assert verdict.reject, (verdict.statistic, verdict.threshold)

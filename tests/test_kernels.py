@@ -512,6 +512,64 @@ def test_multi_word_cc_builds_the_cffi_provider(fresh_cffi_cache, monkeypatch):
     assert available_kernels()["cffi"] is True
 
 
+@pytest.mark.parametrize(
+    "cc, argv",
+    [
+        (None, ["cc"]),
+        ("", ["cc"]),
+        ("   ", ["cc"]),
+        ("gcc -std=c99", ["gcc", "-std=c99"]),
+        ("  clang   -O1 ", ["clang", "-O1"]),
+        ("'/usr/local/my tools/gcc' -m64", ["/usr/local/my tools/gcc", "-m64"]),
+    ],
+    ids=["unset", "empty", "blank", "flags", "extra-spaces", "quoted-path"],
+)
+def test_compiler_argv_splits_cc_like_a_shell(cc, argv, monkeypatch):
+    from repro.kernels import cffi_impl
+
+    if cc is None:
+        monkeypatch.delenv("CC", raising=False)
+    else:
+        monkeypatch.setenv("CC", cc)
+    assert cffi_impl.compiler_argv() == argv
+
+
+def test_missing_compiler_behind_flags_disables_cffi(fresh_cffi_cache, monkeypatch):
+    # only the first word of $CC names the executable that must exist
+    monkeypatch.setenv("CC", "definitely-not-a-compiler -std=c99")
+    assert available_kernels()["cffi"] is False
+    assert get_kernels("auto").name == "numpy"
+    with pytest.raises(KernelsUnavailableError, match="cffi"):
+        get_kernels("cffi")
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no cc on PATH")
+def test_compiler_path_with_spaces_builds_the_cffi_provider(
+    fresh_cffi_cache, monkeypatch
+):
+    bindir = fresh_cffi_cache / "my tools"
+    bindir.mkdir()
+    (bindir / "cc").symlink_to(shutil.which("cc"))
+    monkeypatch.setenv("CC", f"'{bindir / 'cc'}' -std=c99")
+    assert available_kernels()["cffi"] is True
+    assert get_kernels("cffi").name == "cffi"
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no cc on PATH")
+def test_cache_key_follows_the_resolved_compiler_argv(monkeypatch):
+    # spellings of $CC that run the same command share one cached library
+    from repro.kernels import cffi_impl
+
+    def key(cc):
+        with monkeypatch.context() as mp:
+            mp.setenv("CC", cc)
+            return cffi_impl._so_path()
+
+    assert key("cc -std=c99") == key("  cc   -std=c99 ")
+    assert key("cc") == key(shutil.which("cc")) == key("")
+    assert key("cc -std=c99") != key("cc -std=c11")
+
+
 def test_cache_key_covers_compiler_flags_and_platform(monkeypatch):
     from repro.kernels import cffi_impl
 
