@@ -18,8 +18,14 @@ every swap bit-identical; this bench pins the *point* of the layer:
   round, so the deep Θ(n² log n) settlement tail no longer pays
   per-round dispatch.  The acceptance pin: **>= 3x** over the
   pure-numpy provider at full size.
+* **sequential lock-step (Table-1 cycle)**: with ``reps`` above the
+  tail threshold the driver spends most of its ticks in lock-step, one
+  lane per live repetition.  The fused ``advance_ticks`` kernel plays
+  whole ticks in C and returns to Python once per refill epoch instead
+  of once per tick.  The acceptance pin: **>= 3x** over the pure-numpy
+  provider at full size.
 
-Both workloads assert the byte-identity anchor: the full result set
+All three workloads assert the byte-identity anchor: the full result set
 (``steps``, ``settled_at``, ``settle_order``, ``dispersion_time``) of
 the compiled provider equals the pure-numpy run byte for byte.
 
@@ -45,12 +51,17 @@ SEQ_N = int(os.environ.get("BENCH_KERNELS_SEQ_N", 384))
 SEQ_REPS = int(os.environ.get("BENCH_KERNELS_SEQ_REPS", 6))
 PAR_N = int(os.environ.get("BENCH_KERNELS_PAR_N", 256))
 PAR_REPS = int(os.environ.get("BENCH_KERNELS_PAR_REPS", 32))
+LOCK_N = int(os.environ.get("BENCH_KERNELS_SEQ_LOCK_N", 128))
+LOCK_REPS = int(os.environ.get("BENCH_KERNELS_SEQ_LOCK_REPS", 64))
 REPEAT = int(os.environ.get("BENCH_KERNELS_REPEAT", 3))
 
 SEED = 20260808
 SEQ_FLOOR = 3.0
 PAR_FLOOR = 3.0
-FULL_SIZE = (SEQ_N, SEQ_REPS, PAR_N, PAR_REPS) == (384, 6, 256, 32)
+LOCK_FLOOR = 3.0
+FULL_SIZE = (SEQ_N, SEQ_REPS, PAR_N, PAR_REPS, LOCK_N, LOCK_REPS) == (
+    384, 6, 256, 32, 128, 64,
+)
 
 COMPILED = "cffi" if available_kernels().get("cffi") else None
 
@@ -102,6 +113,12 @@ def _experiment():
             cycle_graph(PAR_N),
             PAR_REPS,
         ),
+        _measure(
+            "sequential lock-step (cycle)",
+            batched_sequential_idla,
+            cycle_graph(LOCK_N),
+            LOCK_REPS,
+        ),
     ]
 
 
@@ -130,11 +147,15 @@ def bench_compiled_kernels(benchmark, capsys):
             "provider": COMPILED,
             "min_width": get_kernels(COMPILED).min_width,
             "byte_identity": "asserted on steps/settled_at/settle_order/tau",
-            "pins": f"sequential >= {SEQ_FLOOR}x, parallel >= {PAR_FLOOR}x",
+            "pins": (
+                f"sequential tail >= {SEQ_FLOOR}x, parallel >= {PAR_FLOOR}x, "
+                f"sequential lock-step >= {LOCK_FLOOR}x"
+            ),
             "full_size": FULL_SIZE,
         },
     )
     if FULL_SIZE:
-        seq, par = workloads
+        seq, par, lock = workloads
         assert seq["speedup"] >= SEQ_FLOOR, seq
         assert par["speedup"] >= PAR_FLOOR, par
+        assert lock["speedup"] >= LOCK_FLOOR, lock

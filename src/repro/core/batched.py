@@ -38,6 +38,19 @@ for the cycle (counting live *particles*, the old criterion, kept the
 round machinery running until the stragglers' combined width shrank
 too).
 
+Compiled lock-step
+------------------
+With a compiled kernel provider (:mod:`repro.kernels`), a materialised
+host CSR, the default rule and no recording, neither driver runs its
+lock-step in Python: ``batched_parallel_idla`` hands whole rounds to
+:meth:`~repro.kernels.CompiledKernels.advance_rounds` and
+``batched_sequential_idla`` whole ticks to
+:meth:`~repro.kernels.CompiledKernels.advance_ticks`.  Each kernel call
+plays until a buffer needs a refill, the tail-finisher handoff holds, or
+every repetition finished, so a run crosses into C once per refill epoch
+instead of once or twice per round.  The numpy bodies below stay for the
+numpy provider, implicit graphs, ``record=True`` and custom rules.
+
 Bit-identical replay
 --------------------
 Each repetition consumes uniforms from its **own child generator** in
@@ -98,7 +111,7 @@ from repro.core.stopping_rules import StoppingRule, standard_rule
 from repro.core.trajectory import TrajectoryStore
 from repro.graphs.csr import Graph, neighbor_kernel
 from repro.kernels import csr_arrays, get_kernels
-from repro.utils.validation import check_integer
+from repro.utils.validation import check_integer, check_limit
 from repro.utils.rng import (
     UniformStream,
     UniformStreams,
@@ -528,7 +541,7 @@ def batched_parallel_idla(
         return out
     step_chunk = plan.step_chunk
     use_default_rule = rule is None or rule is standard_rule
-    budget = float("inf") if max_rounds is None else float(max_rounds)
+    budget = check_limit("max_rounds", max_rounds)
     process = "parallel-lazy" if lazy else "parallel"
 
     # ---- per-repetition initial draws, in the serial driver's order.
@@ -1048,6 +1061,11 @@ def batched_sequential_idla(
     append per tick; the finisher continues each straggler's recorded
     prefix), list-identical to the serial driver's.
 
+    With a compiled ``kernels`` provider, a host CSR, the default rule
+    and no recording, the ticks run in compiled code between refill
+    epochs (:meth:`~repro.kernels.CompiledKernels.advance_ticks`), down
+    to the tail finisher's stragglers.
+
     Note on throughput: with one particle per repetition the batch width
     equals the number of *live* repetitions, so the crossover against the
     serial driver's tuned scalar loop sits near ``reps ≈ 64`` (the
@@ -1089,7 +1107,7 @@ def batched_sequential_idla(
             )
         return out
     use_default_rule = rule is None or rule is standard_rule
-    budget = float("inf") if max_total_steps is None else float(max_total_steps)
+    budget = check_limit("max_total_steps", max_total_steps)
     process = "sequential-lazy" if lazy else "sequential"
 
     starts2d = np.empty((R, m), dtype=np.int64)
@@ -1128,13 +1146,24 @@ def batched_sequential_idla(
     adj = None  # built lazily when the finisher engages
     kernel = neighbor_kernel(g)
     degrees_g = g.degrees
-    fused = kern.stepper(g)  # None on the numpy provider
     csr = csr_arrays(g) if kern.compiled else None
-    minw = kern.min_width  # narrow ticks keep the numpy expressions
     fin_kern = (
         kern if csr is not None and use_default_rule and store is None else None
     )
+    limit_msg = f"sequential IDLA exceeded max_total_steps={max_total_steps}"
     ticks = 0
+    if fin_kern is not None:
+        # fused lock-step: whole ticks run in compiled code, handing back
+        # only to refill the live rows; the lanes come back compacted in
+        # place, down to the tail finisher's stragglers or to none at all,
+        # so the loop below only runs the finisher
+        lanes, cursor, ticks = kern.advance_ticks(
+            csr[0], csr[1], streams, live, pos, pstep, current, occ,
+            starts2d, steps2d, settled2d,
+            cursor=cursor, ticks=ticks, lazy=lazy, tail_threshold=tail_total,
+            budget=budget, limit_msg=limit_msg,
+        )
+        live, pos, pstep = live[:lanes], pos[:lanes], pstep[:lanes]
 
     while live.size:
         if 0 < live.size <= tail_total:
@@ -1163,10 +1192,7 @@ def batched_sequential_idla(
                         total=ticks,
                         lazy=lazy,
                         budget=budget,
-                        limit_msg=(
-                            "sequential IDLA exceeded "
-                            f"max_total_steps={max_total_steps}"
-                        ),
+                        limit_msg=limit_msg,
                         steps_row=steps2d[r],
                         settled_row=settled2d[r],
                     )
@@ -1201,23 +1227,14 @@ def batched_sequential_idla(
         ticks += 1
         pstep += 1
         if ticks > budget:
-            raise RuntimeError(
-                f"sequential IDLA exceeded max_total_steps={max_total_steps}"
-            )
+            raise RuntimeError(limit_msg)
         if lazy:
             move = u >= 0.5
-            ustep = 2.0 * (u - 0.5)
-            if fused is not None and pos.size >= minw:
-                new = fused(pos, ustep)
-            else:
-                new = neighbor_step(kernel, degrees_g, pos, ustep)
+            new = neighbor_step(kernel, degrees_g, pos, 2.0 * (u - 0.5))
             pos = np.where(move, new, pos)
             settling = move & ~occ[vert_off + pos]
         else:
-            if fused is not None and pos.size >= minw:
-                pos = fused(pos, u)
-            else:
-                pos = neighbor_step(kernel, degrees_g, pos, u)
+            pos = neighbor_step(kernel, degrees_g, pos, u)
             settling = ~occ[vert_off + pos]
         if store is not None:
             # each live repetition's walker appends its post-tick position

@@ -66,7 +66,7 @@ from repro.core.trajectory import ScheduleStore, TrajectoryStore
 from repro.graphs.csr import Graph, neighbor_kernel
 from repro.kernels import get_kernels
 from repro.utils.rng import UniformStreams, resolve_stream_block
-from repro.utils.validation import check_integer
+from repro.utils.validation import check_integer, check_limit
 from repro.walks.continuous import poissonise_steps
 
 __all__ = [
@@ -534,7 +534,7 @@ def batched_uniform_idla(
                 )
             )
         return out
-    budget = float("inf") if max_ticks is None else float(max_ticks)
+    budget = check_limit("max_ticks", max_ticks)
     check_budget = max_ticks is not None
 
     starts2d = np.empty((R, m), dtype=np.int64)

@@ -28,7 +28,7 @@ Compiled kernels activate only for materialised-CSR graphs
 (:func:`csr_arrays`); the differential harness in
 ``tests/test_differential_drivers.py`` pins every swapped kernel against
 the serial oracles, double for double.  The provider passes a load-time
-self-check (:func:`_self_check`) exercising all eight entry points before
+self-check (:func:`_self_check`) exercising all nine entry points before
 it can be selected, so a miscompiled or mis-installed provider fails at
 resolution, not mid-run.
 
@@ -43,6 +43,14 @@ round would exceed ``max_rounds``.  The driver takes this path whenever
 the compiled gates above hold and the run uses the default rule, no
 trajectory recording and no ``state_budget`` step chunk; otherwise the
 per-round body runs as before.
+
+The ninth, :meth:`CompiledKernels.advance_ticks`, does the same for
+whole ticks of ``batched_sequential_idla``: ``0`` the shared cursor
+reached the end of the chunk (the wrapper refills the live rows and
+resumes), ``2`` the tail-finisher handoff holds, ``1`` every repetition
+finished, ``-1`` the next tick would exceed ``max_total_steps``.  The
+sequential driver takes it whenever the compiled tail finisher would
+engage: host CSR, the default rule and no trajectory recording.
 """
 
 from __future__ import annotations
@@ -339,6 +347,91 @@ class CompiledKernels(KernelSet):
                 streams.refill_tail(r, int(bptr[r]))
                 bptr[r] = 0
 
+    def advance_ticks(
+        self, indptr, indices, streams, live, pos, pstep, current, occ,
+        starts2d, steps2d, settled2d, *,
+        cursor, ticks, lazy, tail_threshold, budget, limit_msg,
+    ) -> tuple[int, int, int]:
+        """Run ``batched_sequential_idla``'s lock-step ticks in compiled code.
+
+        One kernel call advances whole ticks — step, settlement, the
+        instant-settle release chain and in-order compaction — over the
+        lanes ``live`` / ``pos`` / ``pstep`` (int64, C-contiguous,
+        writable: they are compacted in place) and the per-repetition
+        ``current``, ``occ``, ``steps2d`` and ``settled2d``.  Every live
+        lane reads its tick's uniform at the shared ``cursor`` of its row
+        of ``streams.flat``.  The kernel hands back only at the status
+        protocol's events: the cursor reached the end of the chunk
+        (status 0: the live rows are refilled here through
+        ``streams.fill`` and the kernel resumes at cursor 0), the
+        tail-finisher handoff holds (2), every repetition finished (1), or
+        the next tick would exceed ``budget`` (-1:
+        ``RuntimeError(limit_msg)``).  Each repetition that finished lands
+        its generator on the serial fetch grid through
+        ``streams.align_to_serial(r, tick)``.
+
+        Returns ``(live lanes, cursor, ticks)``: the surviving lanes are
+        the first ``live`` entries of the lane arrays.
+        """
+        for a in (live, pos, pstep, current, steps2d, settled2d):
+            if a.dtype != _I64 or not (a.flags.c_contiguous and a.flags.writeable):
+                raise ValueError(
+                    "advance_ticks mutates its int64 state in place: "
+                    "pass writable C-contiguous int64 arrays"
+                )
+        if occ.dtype not in (np.bool_, np.uint8) or not (
+            occ.flags.c_contiguous and occ.flags.writeable
+        ):
+            raise ValueError(
+                "advance_ticks mutates occupancy in place: pass a writable "
+                "C-contiguous bool or uint8 array"
+            )
+        R, n = current.shape[0], indptr.shape[0] - 1
+        m = steps2d.shape[-1]
+        lanes = live.shape[0]
+        block = streams.block
+        if not (
+            pos.shape == pstep.shape == (lanes,)
+            and occ.shape == (R * n,)
+            and steps2d.shape == settled2d.shape == starts2d.shape == (R, m)
+            and streams.flat.shape == (R * block,)
+        ):
+            raise ValueError("advance_ticks: inconsistent lane/repetition shapes")
+        # the kernel indexes with these unchecked: one lane per live
+        # repetition, ascending; every repetition, particle and vertex id
+        # in range; the cursor inside the chunk
+        if not (0 <= cursor <= block) or (
+            lanes
+            and not (
+                0 <= live[0] and live[-1] < R
+                and bool(np.all(live[1:] > live[:-1]))
+                and 0 <= current[live].min() and current[live].max() < m
+                and 0 <= pos.min() and pos.max() < n
+            )
+        ) or (
+            starts2d.size and not (0 <= starts2d.min() and starts2d.max() < n)
+        ):
+            raise ValueError("advance_ticks: lane state out of range or unordered")
+        starts = _i64(starts2d).reshape(-1)
+        done = np.empty(2 * lanes, dtype=np.int64)
+        state = np.array([lanes, cursor, ticks, 0], dtype=np.int64)
+        lz = 1 if lazy else 0
+        while True:
+            status = self._impl.seq_ticks(
+                indptr, indices, streams.flat, block, live, pos, pstep,
+                current, _u8(occ), starts, steps2d.reshape(-1),
+                settled2d.reshape(-1), n, m, lz, tail_threshold, budget,
+                done, state,
+            )
+            for r, tick in done[: 2 * int(state[3])].reshape(-1, 2).tolist():
+                streams.align_to_serial(r, tick)
+            if status > 0:
+                return int(state[0]), int(state[1]), int(state[2])
+            if status < 0:
+                raise RuntimeError(limit_msg)
+            streams.fill(live[: int(state[0])].tolist())
+            state[1] = 0
+
     # ---- scalar-tail finisher loops ----------------------------------
     def finish_sequential(
         self, indptr, indices, occ_row, starts, tail, *,
@@ -457,8 +550,31 @@ class _RowFeeder(_BlockFeeder):
         self.flat[rem:] = self.take_block()[:ptr]
 
 
+class _RowsFeeder:
+    """Multi-repetition stand-in for ``UniformStreams`` (self-check only):
+    row ``r`` serves the blocks ``rows[r]`` in order; the rows refilled
+    and the serial-grid alignments requested are recorded."""
+
+    def __init__(self, rows):
+        self._rows = [_BlockFeeder(blocks) for blocks in rows]
+        self.flat = np.concatenate([row.take_block() for row in self._rows])
+        self.block = self.flat.shape[0] // len(rows)
+        self.filled: list[list[int]] = []
+        self.aligned: list[tuple[int, int]] = []
+
+    def fill(self, rows) -> None:
+        self.filled.append(list(rows))
+        for r in rows:
+            self.flat[r * self.block : (r + 1) * self.block] = (
+                self._rows[r].take_block()
+            )
+
+    def align_to_serial(self, r: int, consumed: int) -> None:
+        self.aligned.append((r, consumed))
+
+
 def _self_check(ks: CompiledKernels) -> None:
-    """Exercise all eight kernels on the path graph P3 and assert the answers.
+    """Exercise all nine kernels on the path graph P3 and assert the answers.
 
     Catches toolchain miscompiles and broken cached libraries at
     selection time, loudly.  Inputs cross a buffer-refill boundary so the
@@ -549,6 +665,33 @@ def _self_check(ks: CompiledKernels) -> None:
     assert settled2d.tolist() == [[0, 2, 1]] and occ.all(), settled2d
     assert steps2d.tolist() == round2d.tolist() == [[0, 2, 1]], steps2d
     assert (scratch == -1).all(), scratch
+
+    # two repetitions, particle 0 settled at vertex 0 in each; particle 1
+    # steps 0 -> 1 and settles at tick 1, releasing particle 2 from 0.
+    # The 2-double chunks run dry after ticks 2 and 4.  Repetition 0
+    # steps 1 -> 2 at tick 3 and finishes mid-epoch; repetition 1 goes
+    # 1 -> 0 -> 1 and reaches vertex 2 at tick 5, after a second refill
+    # of its row alone.
+    feeder = _RowsFeeder([
+        [[0.3, 0.3], [0.9, 0.5]],
+        [[0.3, 0.3], [0.1, 0.6], [0.9, 0.9]],
+    ])
+    occ = np.array([1, 0, 0, 1, 0, 0], dtype=bool)
+    steps2d = np.zeros((2, 3), dtype=np.int64)
+    settled2d = np.array([[0, -1, -1], [0, -1, -1]], dtype=np.int64)
+    current = np.array([1, 1], dtype=np.int64)
+    out = ks.advance_ticks(
+        indptr, indices, feeder, np.array([0, 1], dtype=np.int64),
+        np.zeros(2, dtype=np.int64), np.zeros(2, dtype=np.int64), current,
+        occ, np.zeros((2, 3), dtype=np.int64), steps2d, settled2d,
+        cursor=0, ticks=0, lazy=False, tail_threshold=0,
+        budget=float("inf"), limit_msg="self-check",
+    )
+    assert out == (0, 1, 5), out
+    assert steps2d.tolist() == [[0, 1, 2], [0, 1, 4]], steps2d
+    assert settled2d.tolist() == [[0, 1, 2], [0, 1, 2]] and occ.all(), settled2d
+    assert feeder.filled == [[0, 1], [1]], feeder.filled
+    assert feeder.aligned == [(0, 3), (1, 5)], feeder.aligned
 
 
 # ----------------------------------------------------------------------

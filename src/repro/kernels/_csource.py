@@ -11,7 +11,7 @@ micro-loops in ``_finish_parallel_rep`` / ``_finish_sequential_rep`` /
 order around the budget checks) is deliberate and pinned by
 ``tests/test_differential_drivers.py``.
 
-Eight entry points.  The loop kernels consume uniforms from a
+Nine entry points.  The loop kernels consume uniforms from a
 caller-provided buffer and return ``0`` when it runs dry; the Python
 wrapper refills in exactly the serial drivers' block cadence (see
 ``KernelSet`` in the package root), so generator fetch positions stay on
@@ -20,6 +20,11 @@ to whole lock-step rounds of the parallel driver: ``0`` when a live
 repetition's buffer cannot serve the next round (the wrapper refills
 those rows and calls again), ``2`` at the tail-finisher handoff, ``1``
 when every lane settled, ``-1`` past ``max_rounds``.
+``repro_seq_ticks`` does the same for whole lock-step ticks of the
+sequential driver: ``0`` when the shared cursor reaches the end of the
+chunk (the wrapper refills the live rows and calls again), ``2`` at the
+tail-finisher handoff, ``1`` when every repetition finished, ``-1`` past
+``max_total_steps``.
 """
 
 from __future__ import annotations
@@ -53,6 +58,12 @@ i64 repro_par_rounds(const i64 *indptr, const i64 *indices,
                      const i64 *prio, i64 use_prio, i64 n, i64 m, i64 lazy,
                      i64 st, i64 tail_total, double budget, i64 *best,
                      i64 *touched, i64 *state);
+i64 repro_seq_ticks(const i64 *indptr, const i64 *indices,
+                    const double *buf, i64 block, i64 *live, i64 *pos,
+                    i64 *pstep, i64 *current, unsigned char *occ,
+                    const i64 *starts, i64 *steps, i64 *settled, i64 n,
+                    i64 m, i64 lazy, i64 tail_total, double budget,
+                    i64 *done, i64 *state);
 """
 
 C_SOURCE = """
@@ -369,5 +380,80 @@ i64 repro_par_rounds(const i64 *indptr, const i64 *indices,
         state[0] = nl;
         state[1] = t;
     }
+}
+
+/* Whole lock-step ticks of batched_sequential_idla, in place.
+ * One lane per live repetition, ascending: live[j] = r, pos[j] its
+ * walking particle's vertex, pstep[j] that particle's steps so far,
+ * current[r] its index.  Every live repetition consumes exactly one
+ * double per tick, so one shared cursor serves all rows: lane j reads
+ * buf[r*block + cursor].  Each tick: clamped CSR step (lazy: hold below
+ * 0.5, step with 2(u - 0.5)); a walker on a vacant vertex settles there
+ * and the instant-settle chain releases its successors; a repetition
+ * whose last particle settled appends (r, tick) to `done` and leaves;
+ * survivors are compacted in order.  state = [live lanes, cursor, ticks,
+ * finished pairs this call].  Returns 1 when no lane is left, 2 when
+ * 0 < live <= tail_total (the tail-finisher handoff), 0 when
+ * cursor == block (refill the live rows, reset the cursor, call again),
+ * -1 when the next tick would exceed `budget`. */
+i64 repro_seq_ticks(const i64 *indptr, const i64 *indices,
+                    const double *buf, i64 block, i64 *live, i64 *pos,
+                    i64 *pstep, i64 *current, unsigned char *occ,
+                    const i64 *starts, i64 *steps, i64 *settled, i64 n,
+                    i64 m, i64 lazy, i64 tail_total, double budget,
+                    i64 *done, i64 *state)
+{
+    i64 nl = state[0], cursor = state[1], ticks = state[2], nd = 0;
+    i64 status;
+    for (;;) {
+        if (nl == 0) { status = 1; break; }
+        if (nl <= tail_total) { status = 2; break; }
+        if (cursor == block) { status = 0; break; }
+        ticks += 1;
+        if ((double)ticks > budget) { status = -1; break; }
+        i64 w = 0;
+        for (i64 j = 0; j < nl; j++) {
+            i64 r = live[j], p = pos[j], ps = pstep[j] + 1;
+            double u = buf[r * block + cursor];
+            if (!lazy || u >= 0.5) {
+                if (lazy) u = 2.0 * (u - 0.5);
+                i64 s = indptr[p];
+                i64 d = indptr[p + 1] - s;
+                i64 o = (i64)(u * (double)d);
+                if (o > d - 1) o = d - 1;
+                if (o < 0) o = 0;
+                p = indices[s + o];
+                unsigned char *occ_r = occ + r * n;
+                if (!occ_r[p]) {
+                    i64 base = r * m, c = current[r];
+                    occ_r[p] = 1;
+                    steps[base + c] = ps;
+                    settled[base + c] = p;
+                    /* instant_settle_chain */
+                    for (c++; c < m && !occ_r[starts[base + c]]; c++) {
+                        i64 v = starts[base + c];
+                        occ_r[v] = 1;
+                        steps[base + c] = 0;
+                        settled[base + c] = v;
+                    }
+                    if (c == m) {
+                        done[2 * nd] = r;
+                        done[2 * nd + 1] = ticks;
+                        nd++;
+                        continue;
+                    }
+                    current[r] = c;
+                    p = starts[base + c];
+                    ps = 0;
+                }
+            }
+            live[w] = r; pos[w] = p; pstep[w] = ps;
+            w++;
+        }
+        cursor += 1;
+        nl = w;
+    }
+    state[0] = nl; state[1] = cursor; state[2] = ticks; state[3] = nd;
+    return status;
 }
 """

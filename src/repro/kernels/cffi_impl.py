@@ -201,4 +201,11 @@ def load() -> SimpleNamespace:
             pi(settled), pi(rnd), pi(prio), use_prio, n, m, lazy, st,
             tail_total, budget, pi(best), pi(touched), pi(state),
         ),
+        seq_ticks=lambda indptr, indices, buf, block, live, pos, pstep,
+        current, occ, starts, steps, settled, n, m, lazy, tail_total, budget,
+        done, state: lib.repro_seq_ticks(
+            pi(indptr), pi(indices), pd(buf), block, pi(live), pi(pos),
+            pi(pstep), pi(current), pu(occ), pi(starts), pi(steps),
+            pi(settled), n, m, lazy, tail_total, budget, pi(done), pi(state),
+        ),
     )

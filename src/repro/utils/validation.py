@@ -11,6 +11,7 @@ import numpy as np
 __all__ = [
     "check_positive",
     "check_nonnegative",
+    "check_limit",
     "check_fraction",
     "check_index",
     "check_integer",
@@ -47,6 +48,20 @@ def check_nonnegative(name: str, value) -> None:
     """Raise ``ValueError`` unless ``value >= 0``."""
     if not value >= 0:
         raise ValueError(f"{name} must be >= 0, got {value!r}")
+
+
+def check_limit(name: str, value) -> float:
+    """Resolve an optional step/round/tick budget kwarg to a float.
+
+    ``None`` means no limit (``inf``); anything else must be ``>= 0``.
+    A NaN budget would otherwise make every ``count > budget`` guard
+    false and run unbounded without a word.
+    """
+    if value is None:
+        return float("inf")
+    limit = float(value)
+    check_nonnegative(name, limit)
+    return limit
 
 
 def check_fraction(name: str, value, *, inclusive: bool = False) -> None:

@@ -14,6 +14,7 @@ import numpy as np
 from repro.graphs.csr import Graph
 from repro.kernels import csr_arrays, get_kernels
 from repro.utils.rng import as_generator
+from repro.utils.validation import check_limit
 
 __all__ = ["SingleWalkKernel", "random_walk", "walk_until_hit"]
 
@@ -97,6 +98,7 @@ def walk_until_hit(
     finite on connected graphs with probability 1).  ``kernels`` selects
     a compiled inner loop exactly as in :func:`random_walk`.
     """
+    limit = check_limit("max_steps", max_steps)
     target_mask = np.zeros(g.n, dtype=bool)
     t_arr = np.asarray(list(targets), dtype=np.int64)
     if t_arr.size == 0:
@@ -110,15 +112,13 @@ def walk_until_hit(
         if csr is not None:
             return ks.walk_until_hit(
                 csr[0], csr[1], target_mask, int(start), as_generator(seed),
-                _BLOCK,
-                float(max_steps) if max_steps is not None else float("inf"),
+                _BLOCK, limit,
                 f"walk exceeded max_steps={max_steps} without hitting",
             )
     hit = target_mask.tolist()  # plain list: fastest membership in the loop
     kern = SingleWalkKernel(g, seed)
     pos = int(start)
     steps = 0
-    limit = max_steps if max_steps is not None else float("inf")
     while True:
         pos = kern.step(pos)
         steps += 1

@@ -93,6 +93,7 @@ KERNEL_ENTRY_POINTS = (
     "walk_fill",
     "walk_hit",
     "par_rounds",
+    "seq_ticks",
 )
 
 

@@ -400,6 +400,37 @@ def test_fused_lockstep_crosses_ffi_once_per_refill_epoch(
     assert 20 * calls["par_rounds"] < rounds, (dict(calls), rounds)
 
 
+@pytest.mark.parametrize(
+    "kernels", [p for p in KERNEL_PROVIDERS if p.values[0] != "numpy"]
+)
+def test_fused_sequential_crosses_ffi_once_per_refill_epoch(
+    kernels, counting_kernels, monkeypatch
+):
+    """On a CSR cycle the sequential driver crosses into compiled code
+    once per refill of the live rows, not once per tick: a silent
+    stand-down to the Python tick loop fails here."""
+    monkeypatch.setattr(batched, "_BLOCK", 1024)
+    fills = []
+    fill = UniformStreams.fill
+
+    def counted_fill(self, rows):
+        rows = list(rows)
+        fills.append(rows)
+        fill(self, rows)
+
+    monkeypatch.setattr(UniformStreams, "fill", counted_fill)
+    ks, calls = counting_kernels(kernels)
+    # more repetitions than the default tail threshold, none handed off
+    batch = batched.batched_sequential_idla(
+        cycle_graph(48), 0, seeds=spawn_seed_sequences(PARENT_SEED, 20),
+        kernels=ks, tail_threshold=0,
+    )
+    ticks = max(r.total_steps for r in batch)
+    assert len(fills) > 1, "the small chunk must force refill hand-backs"
+    assert sum(calls.values()) == calls["seq_ticks"] <= len(fills) + 1
+    assert 20 * calls["seq_ticks"] < ticks, (dict(calls), ticks)
+
+
 @pytest.mark.parametrize("kernels", KERNEL_PROVIDERS)
 @pytest.mark.parametrize("case", CASES, ids=case_id)
 def test_kernels_through_runner(case, kernels):

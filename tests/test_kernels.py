@@ -18,6 +18,9 @@ layer's own contracts:
 * the fused lock-step kernel (``advance_rounds``) against the per-round
   numpy path of ``batched_parallel_idla``, across refill hand-backs, the
   tail-finisher handoff and ``max_rounds`` exhaustion;
+* the fused sequential tick kernel (``advance_ticks``) against the numpy
+  tick loop of ``batched_sequential_idla``, across refills, mid-epoch
+  finishes, the tail handoff and ``max_total_steps`` exhaustion;
 * the cffi library cache: a corrupted cached library is rebuilt, a
   multi-word ``$CC`` builds, and the cache key covers compiler, flags
   and platform;
@@ -37,7 +40,13 @@ import pytest
 import repro.core.batched as batched
 import repro.kernels as kernels_pkg
 from repro.core.parallel import parallel_idla
-from repro.graphs import complete_binary_tree, cycle_graph, star_graph
+from repro.core.sequential import sequential_idla
+from repro.graphs import (
+    complete_binary_tree,
+    cycle_graph,
+    lollipop_graph,
+    star_graph,
+)
 from repro.kernels import (
     KernelSet,
     KernelsUnavailableError,
@@ -415,6 +424,164 @@ def test_advance_rounds_validates_state_before_passing_pointers(provider):
         {"rep_ids": np.array([0, 1], dtype=np.int64)},
         {"pid": np.array([1, 3], dtype=np.int64)},
         {"pos": np.array([0, -1], dtype=np.int64)},
+    ):
+        with pytest.raises(ValueError, match="out of range"):
+            call(**over)
+
+
+# ---------------------------------------------------------------------------
+# fused lock-step ticks: advance_ticks against the numpy tick loop
+
+#: (graph, driver kwargs): irregular graphs, the lazy hold, fewer
+#: particles than vertices, and uniform random origins, whose vacant
+#: starts fire the instant-settle release chain mid-run.
+TICK_CASES = [
+    (star_graph(12), {}),
+    (complete_binary_tree(3), {"lazy": True}),
+    (cycle_graph(10), {}),
+    (lollipop_graph(10), {"lazy": True}),
+    (cycle_graph(12), {"num_particles": 7}),
+    (lollipop_graph(10), {"origin": "uniform"}),
+    (star_graph(9), {"lazy": True, "num_particles": 5, "origin": "uniform"}),
+    (complete_binary_tree(3), {"num_particles": 9, "origin": "uniform"}),
+]
+
+
+@pytest.mark.parametrize("provider", COMPILED)
+@pytest.mark.parametrize("block", [None, 64], ids=["block-default", "block-64"])
+@pytest.mark.parametrize("tail", [None, 0, 3], ids=["tail-default", "tail-0", "tail-3"])
+@pytest.mark.parametrize("case", TICK_CASES, ids=_fused_case_id)
+def test_advance_ticks_matches_tick_loop(
+    provider, block, tail, case, counting_kernels, monkeypatch
+):
+    """Byte-identical to the numpy tick loop — results and every
+    generator's final position — with more repetitions than the default
+    tail threshold, so the kernel plays ticks before the finisher takes
+    the stragglers (``tail-default``, ``tail-3``) or plays them all
+    (``tail-0``); the 64-double chunk adds refill hand-backs and
+    repetitions finishing mid-epoch."""
+    g, kwargs = case
+    kwargs = dict(kwargs)
+    origin = kwargs.pop("origin", 0)
+    monkeypatch.setattr(batched, "_BLOCK", block)
+    ks, calls = counting_kernels(provider)
+
+    def run(kern):
+        gens = [as_generator(s) for s in spawn_seed_sequences(9, 24)]
+        out = batched.batched_sequential_idla(
+            g, origin, seeds=gens, kernels=kern, tail_threshold=tail, **kwargs
+        )
+        return _result_bytes(out), [gen.random(4).tobytes() for gen in gens]
+
+    assert run(ks) == run("numpy")
+    # the ticks ran fused; the finisher alone takes the stragglers
+    assert calls["seq_ticks"] >= 1
+    assert calls["csr_step"] == 0
+    assert (calls["finish_seq"] > 0) == (tail != 0)
+
+
+@pytest.mark.parametrize("provider", COMPILED)
+@pytest.mark.parametrize("lazy", [False, True], ids=["simple", "lazy"])
+def test_advance_ticks_max_total_steps_matches_serial_oracle(provider, lazy):
+    """``max_total_steps`` exhaustion raises the serial oracle's error:
+    the largest total step count passes, one step less does not."""
+    g = cycle_graph(12)
+
+    def seeds():
+        return spawn_seed_sequences(4, 20)
+
+    serial = [sequential_idla(g, 0, seed=s, lazy=lazy) for s in seeds()]
+    worst = max(r.total_steps for r in serial)
+
+    def fused(max_total_steps):
+        return batched.batched_sequential_idla(
+            g, 0, seeds=seeds(), lazy=lazy, max_total_steps=max_total_steps,
+            tail_threshold=0, kernels=provider,
+        )
+
+    assert _result_bytes(fused(worst)) == _result_bytes(serial)
+    with pytest.raises(RuntimeError) as serial_err:
+        for s in seeds():
+            sequential_idla(g, 0, seed=s, lazy=lazy, max_total_steps=worst - 1)
+    with pytest.raises(RuntimeError) as fused_err:
+        fused(worst - 1)
+    assert str(fused_err.value) == str(serial_err.value)
+
+
+@pytest.mark.parametrize("provider", COMPILED)
+def test_self_check_rejects_a_broken_advance_ticks(provider, counting_kernels):
+    """A provider whose sequential tick kernel misbehaves fails at
+    selection."""
+    ks, _ = counting_kernels(provider)
+    kernels_pkg._self_check(ks)
+    ks._impl.seq_ticks = lambda *args: 1  # "all finished" without a tick
+    with pytest.raises(AssertionError):
+        kernels_pkg._self_check(ks)
+
+
+@pytest.mark.parametrize("provider", COMPILED)
+def test_advance_ticks_validates_state_before_passing_pointers(provider):
+    """The lanes and per-repetition state are written in place, so a
+    converting copy would lose the result: a wrong dtype or a strided
+    array is refused up front, and so are shapes, ids and a cursor that
+    would send the kernel out of bounds."""
+    ks = get_kernels(provider)
+    indptr, indices = csr_arrays(cycle_graph(3))
+
+    class Streams:
+        block = 2
+        flat = np.full(4, 0.9)
+
+        def fill(self, rows):
+            pass
+
+        def align_to_serial(self, r, consumed):
+            pass
+
+    def call(cursor=0, **over):
+        args = dict(
+            live=np.array([0, 1], dtype=np.int64),
+            pos=np.zeros(2, dtype=np.int64),
+            pstep=np.zeros(2, dtype=np.int64),
+            current=np.array([1, 1], dtype=np.int64),
+            occ=np.array([1, 0, 0, 1, 0, 0], dtype=bool),
+            starts2d=np.zeros((2, 3), dtype=np.int64),
+            steps2d=np.zeros((2, 3), dtype=np.int64),
+            settled2d=np.array([[0, -1, -1], [0, -1, -1]], dtype=np.int64),
+        )
+        args.update(over)
+        return ks.advance_ticks(
+            indptr, indices, Streams(), *args.values(), cursor=cursor,
+            ticks=0, lazy=False, tail_threshold=0, budget=float("inf"),
+            limit_msg="",
+        )
+
+    # 0 -> 2 settles particle 1 at tick 1; particle 2 goes 0 -> 2 -> 1
+    # across one refill and settles at tick 3
+    assert call() == (0, 1, 3)
+    for over in (
+        {"pos": np.zeros(2)},
+        {"current": np.array([1, 1], dtype=np.int32)},
+        {"occ": np.array([1, 0, 0, 1, 0, 0], dtype=np.int64)},
+        {"live": np.array([0, 0, 1, 1], dtype=np.int64)[::2]},
+        {"steps2d": np.zeros((3, 2), dtype=np.int64).T},
+    ):
+        with pytest.raises(ValueError, match="in place"):
+            call(**over)
+    for over in (
+        {"occ": np.zeros(3, dtype=bool)},
+        {"pstep": np.zeros(3, dtype=np.int64)},
+        {"starts2d": np.zeros((2, 2), dtype=np.int64)},
+    ):
+        with pytest.raises(ValueError, match="shapes"):
+            call(**over)
+    for over in (
+        {"live": np.array([0, 2], dtype=np.int64)},
+        {"live": np.array([1, 0], dtype=np.int64)},
+        {"pos": np.array([0, 3], dtype=np.int64)},
+        {"current": np.array([1, 3], dtype=np.int64)},
+        {"starts2d": np.array([[0, 0, 0], [0, 0, -1]], dtype=np.int64)},
+        {"cursor": 3},
     ):
         with pytest.raises(ValueError, match="out of range"):
             call(**over)

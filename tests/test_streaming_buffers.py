@@ -249,6 +249,24 @@ def test_sequential_generators_land_on_serial_positions():
             assert np.array_equal(sg.random(8), bg.random(8))
 
 
+@pytest.mark.parametrize("kernels", ["numpy", "auto"])
+def test_sequential_generators_land_on_serial_positions_mid_epoch(
+    monkeypatch, kernels
+):
+    """The same landing with a 64-double chunk and no tail handoff:
+    repetitions finish mid-epoch, at ticks off the chunk grid, inside the
+    lock-step (the compiled tick kernel reports them back in batches)."""
+    monkeypatch.setattr(batched_mod, "_BLOCK", 64)
+    g = cycle_graph(24)
+    serial_gens = [as_generator(s) for s in spawn_seed_sequences(PARENT_SEED, 20)]
+    batch_gens = [as_generator(s) for s in spawn_seed_sequences(PARENT_SEED, 20)]
+    for gen in serial_gens:
+        sequential_idla(g, seed=gen)
+    batched_sequential_idla(g, seeds=batch_gens, tail_threshold=0, kernels=kernels)
+    for sg, bg in zip(serial_gens, batch_gens):
+        assert np.array_equal(sg.random(8), bg.random(8))
+
+
 # ----------------------------------------------------------------------
 # chunk-invariance of the streaming draws
 # ----------------------------------------------------------------------

@@ -3,10 +3,21 @@
 import numpy as np
 import pytest
 
+from repro.core import (
+    batched_parallel_idla,
+    batched_sequential_idla,
+    batched_uniform_idla,
+    parallel_idla,
+    sequential_idla,
+    uniform_idla,
+)
+from repro.graphs import cycle_graph
+from repro.utils.rng import spawn_seed_sequences
 from repro.utils.timing import Stopwatch
 from repro.utils.validation import (
     check_fraction,
     check_index,
+    check_limit,
     check_nonnegative,
     check_positive,
     check_probability_vector,
@@ -31,6 +42,75 @@ class TestCheckNonnegative:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             check_nonnegative("x", -1e-9)
+
+
+class TestCheckLimit:
+    def test_none_means_no_limit(self):
+        assert check_limit("max_steps", None) == float("inf")
+
+    @pytest.mark.parametrize("ok", [0, 5, 2.5, float("inf"), np.int64(3)])
+    def test_accepts_nonnegative(self, ok):
+        assert check_limit("max_steps", ok) == float(ok)
+
+    @pytest.mark.parametrize("bad", [float("nan"), -1, -0.5, float("-inf")])
+    def test_rejects_nan_and_negative(self, bad):
+        with pytest.raises(ValueError, match="max_steps must be >= 0"):
+            check_limit("max_steps", bad)
+
+
+def _walk(**kw):
+    from repro.walks.single import walk_until_hit
+
+    return walk_until_hit(cycle_graph(8), 0, [4], seed=3, **kw)
+
+
+#: (kwarg, driver call): every public entry point with a step/round/tick
+#: budget, serial and batched.
+BUDGETED = [
+    ("max_total_steps", lambda **kw: sequential_idla(cycle_graph(8), 0, seed=1, **kw)),
+    ("max_rounds", lambda **kw: parallel_idla(cycle_graph(8), 0, seed=1, **kw)),
+    ("max_ticks", lambda **kw: uniform_idla(cycle_graph(8), 0, seed=1, **kw)),
+    (
+        "max_total_steps",
+        lambda **kw: batched_sequential_idla(
+            cycle_graph(8), reps=70, seed=1, **kw
+        ),
+    ),
+    (
+        "max_rounds",
+        lambda **kw: batched_parallel_idla(cycle_graph(8), reps=5, seed=1, **kw),
+    ),
+    (
+        "max_ticks",
+        lambda **kw: batched_uniform_idla(cycle_graph(8), reps=5, seed=1, **kw),
+    ),
+    ("max_steps", _walk),
+]
+BUDGET_IDS = [
+    "sequential", "parallel", "uniform", "batched-sequential",
+    "batched-parallel", "batched-uniform", "walk_until_hit",
+]
+
+
+@pytest.mark.parametrize("bad", [float("nan"), -1], ids=["nan", "negative"])
+@pytest.mark.parametrize("kwarg, run", BUDGETED, ids=BUDGET_IDS)
+def test_nan_or_negative_budget_raises_naming_the_kwarg(kwarg, run, bad):
+    """A NaN budget used to switch the step guard off (every
+    ``count > nan`` is false) and run unbounded."""
+    with pytest.raises(ValueError, match=f"{kwarg} must be >= 0"):
+        run(**{kwarg: bad})
+
+
+@pytest.mark.parametrize("kwarg, run", BUDGETED, ids=BUDGET_IDS)
+def test_infinite_and_zero_budgets_stay_legal(kwarg, run):
+    def plain(out):
+        if isinstance(out, list):
+            return [r.steps.tobytes() for r in out]
+        return out if isinstance(out, int) else out.steps.tobytes()
+
+    assert plain(run(**{kwarg: float("inf")})) == plain(run())
+    with pytest.raises(RuntimeError, match=f"{kwarg}=0"):
+        run(**{kwarg: 0})
 
 
 class TestCheckFraction:

@@ -214,8 +214,9 @@ SECTIONS = [
         "implementation — compiled inner-loop kernels (REPRO_KERNELS seam)",
         "the compiled kernel provider (cffi C kernels) runs the "
         "scalar-tail-dominated sequential workload >= 3x over pure numpy "
-        "on the Table-1 cycle (measured ~20x) and the parallel lock-step "
-        "workload >= 3x (whole rounds in C between refill epochs), "
+        "on the Table-1 cycle (measured ~20x), and the parallel and "
+        "sequential lock-step workloads >= 3x each (whole rounds or ticks "
+        "in C between refill epochs), "
         "byte-identical to the numpy provider on every result field",
     ),
 ]
