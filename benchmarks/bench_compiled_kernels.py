@@ -24,10 +24,17 @@ every swap bit-identical; this bench pins the *point* of the layer:
   whole ticks in C and returns to Python once per refill epoch instead
   of once per tick.  The acceptance pin: **>= 3x** over the pure-numpy
   provider at full size.
+* **CTU lock-step (implicit Table-1 hypercube)**: ``batched_ctu_idla``
+  on the arithmetic-adjacency hypercube.  The fused
+  ``advance_ctu_ticks`` kernel plays whole ticks in C, stepping the
+  implicit family through its C adjacency helper, and returns to Python
+  once per window of clock logarithms instead of once per tick.  The
+  acceptance pin: **>= 3x** over the pure-numpy provider at full size.
 
-All three workloads assert the byte-identity anchor: the full result set
-(``steps``, ``settled_at``, ``settle_order``, ``dispersion_time``) of
-the compiled provider equals the pure-numpy run byte for byte.
+All four workloads assert the byte-identity anchor: the full result set
+(``steps``, ``settled_at``, ``settle_order``, ``dispersion_time``, and
+CTU's ``settle_clock``) of the compiled provider equals the pure-numpy
+run byte for byte.
 
 The compiled provider is ``cffi`` (the C kernels built with the system
 toolchain); the bench skips when it is unavailable.  Set ``BENCH_KERNELS_*`` environment variables to shrink the
@@ -43,7 +50,8 @@ import pytest
 
 from _common import emit, run_once
 from repro.core.batched import batched_parallel_idla, batched_sequential_idla
-from repro.graphs import cycle_graph
+from repro.core.batched_continuous import batched_ctu_idla
+from repro.graphs import cycle_graph, implicit_graph
 from repro.kernels import available_kernels, get_kernels
 from repro.utils.rng import spawn_seed_sequences
 
@@ -53,15 +61,18 @@ PAR_N = int(os.environ.get("BENCH_KERNELS_PAR_N", 256))
 PAR_REPS = int(os.environ.get("BENCH_KERNELS_PAR_REPS", 32))
 LOCK_N = int(os.environ.get("BENCH_KERNELS_SEQ_LOCK_N", 128))
 LOCK_REPS = int(os.environ.get("BENCH_KERNELS_SEQ_LOCK_REPS", 64))
+CTU_N = int(os.environ.get("BENCH_KERNELS_CTU_N", 128))  # a power of two
+CTU_REPS = int(os.environ.get("BENCH_KERNELS_CTU_REPS", 64))
 REPEAT = int(os.environ.get("BENCH_KERNELS_REPEAT", 3))
 
 SEED = 20260808
 SEQ_FLOOR = 3.0
 PAR_FLOOR = 3.0
 LOCK_FLOOR = 3.0
-FULL_SIZE = (SEQ_N, SEQ_REPS, PAR_N, PAR_REPS, LOCK_N, LOCK_REPS) == (
-    384, 6, 256, 32, 128, 64,
-)
+CTU_FLOOR = 3.0
+FULL_SIZE = (
+    SEQ_N, SEQ_REPS, PAR_N, PAR_REPS, LOCK_N, LOCK_REPS, CTU_N, CTU_REPS,
+) == (384, 6, 256, 32, 128, 64, 128, 64)
 
 COMPILED = "cffi" if available_kernels().get("cffi") else None
 
@@ -82,6 +93,8 @@ def _assert_identical(plain, compiled):
         assert p.steps.tobytes() == c.steps.tobytes()
         assert p.settled_at.tobytes() == c.settled_at.tobytes()
         assert p.settle_order.tobytes() == c.settle_order.tobytes()
+        if hasattr(p, "settle_clock"):
+            assert p.settle_clock.tobytes() == c.settle_clock.tobytes()
 
 
 def _measure(label, driver, g, reps):
@@ -119,6 +132,12 @@ def _experiment():
             cycle_graph(LOCK_N),
             LOCK_REPS,
         ),
+        _measure(
+            "ctu lock-step (hypercube, implicit)",
+            batched_ctu_idla,
+            implicit_graph("hypercube", n=CTU_N),
+            CTU_REPS,
+        ),
     ]
 
 
@@ -146,16 +165,20 @@ def bench_compiled_kernels(benchmark, capsys):
         extra={
             "provider": COMPILED,
             "min_width": get_kernels(COMPILED).min_width,
-            "byte_identity": "asserted on steps/settled_at/settle_order/tau",
+            "byte_identity": (
+                "asserted on steps/settled_at/settle_order/tau/settle_clock"
+            ),
             "pins": (
                 f"sequential tail >= {SEQ_FLOOR}x, parallel >= {PAR_FLOOR}x, "
-                f"sequential lock-step >= {LOCK_FLOOR}x"
+                f"sequential lock-step >= {LOCK_FLOOR}x, "
+                f"ctu lock-step >= {CTU_FLOOR}x"
             ),
             "full_size": FULL_SIZE,
         },
     )
     if FULL_SIZE:
-        seq, par, lock = workloads
+        seq, par, lock, ctu = workloads
         assert seq["speedup"] >= SEQ_FLOOR, seq
         assert par["speedup"] >= PAR_FLOOR, par
         assert lock["speedup"] >= LOCK_FLOOR, lock
+        assert ctu["speedup"] >= CTU_FLOOR, ctu

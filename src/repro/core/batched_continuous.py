@@ -40,6 +40,14 @@ scheduler's swap-remove pool go through the shared helpers in
 :mod:`repro.core.settlement` so both execution modes resolve them
 identically by construction.
 
+With a compiled kernel provider and no recording, ``batched_ctu_idla``
+plays its ticks in C (:meth:`repro.kernels.CompiledKernels.advance_ctu_ticks`)
+on CSR graphs and on the seven implicit families, whose adjacency the
+kernel computes from a ``(family code, params)`` descriptor.  The clock's
+logarithms still come from ``np.log1p``, one window of ticks at a time,
+so the compiled path is bit-identical too; the numpy tick loop stays for
+``record=True``, the numpy provider and other graph types.
+
 ``record=True`` routes each tick's ``(repetition, particle, vertex)``
 into the chunked :class:`repro.core.trajectory.TrajectoryStore` (one
 slice append per tick), and Uniform-IDLA's ``faithful_r=True`` runs a
@@ -64,9 +72,9 @@ from repro.core.sequential import _BLOCK as _SEQ_BLOCK
 from repro.core.settlement import settle_vacant_starts_inorder
 from repro.core.trajectory import ScheduleStore, TrajectoryStore
 from repro.graphs.csr import Graph, neighbor_kernel
-from repro.kernels import get_kernels
+from repro.kernels import adjacency_descriptor, get_kernels
 from repro.utils.rng import UniformStreams, resolve_stream_block
-from repro.utils.validation import check_integer, check_limit
+from repro.utils.validation import check_integer, check_limit, check_positive_finite
 from repro.walks.continuous import poissonise_steps
 
 __all__ = [
@@ -215,8 +223,9 @@ def batched_ctu_idla(
     kernels:
         Kernel-provider name/:class:`~repro.kernels.KernelSet` (see
         :mod:`repro.kernels`); resolution order is this kwarg, then
-        ``REPRO_KERNELS``, then auto-detect.  Compiled providers stay
-        bit-identical.
+        ``REPRO_KERNELS``, then auto-detect.  A compiled provider plays
+        whole ticks in C on CSR graphs and on the seven implicit
+        families unless ``record`` is set; results stay bit-identical.
 
     Returns
     -------
@@ -238,8 +247,7 @@ def batched_ctu_idla(
         raise ValueError(
             f"CTU IDLA needs 1 <= num_particles <= n, got {m} (n={n})"
         )
-    if rate <= 0:
-        raise ValueError(f"rate must be > 0, got {rate}")
+    check_positive_finite("rate", rate)
     gens = _resolve_generators(seeds, seed, reps)
     R = len(gens)
     if R == 0:
@@ -282,77 +290,90 @@ def batched_ctu_idla(
     lanes_list, k_list = _init_lanes(
         R, n, m, starts2d, occ, settledflat, unsflat, orders
     )
+    # settle order row r: the time-0 settlers, then one entry per ring
+    # that settles, at index m - k (k the pool size before the ring)
+    orderflat = np.empty(R * m, dtype=np.int64)
+    for r, order in enumerate(orders):
+        orderflat[r * m : r * m + len(order)] = order
 
     # ---- per-lane compact state (one lane per live repetition)
     lanes = np.asarray(lanes_list, dtype=np.int64)
     kL = np.asarray(k_list, dtype=np.int64)
-    kfL = kL.astype(np.float64)
-    km1L = kL - 1
-    denomL = kfL * rate
     clockL = np.zeros(lanes.size, dtype=np.float64)
-    laneM = lanes * m
-    laneN = lanes * n
-
     streams = _lane_streams(gens, plan.stream_budget_doubles)
-    block = streams.block
-    buf = streams.buf
-    cursor = block  # forces the initial fill
-    step = _make_stepper(g, kern)
+    adjacency = adjacency_descriptor(g) if kern.compiled and store is None else None
+    if adjacency is not None:
+        # whole ticks in compiled code, CSR or implicit adjacency alike
+        kern.advance_ctu_ticks(
+            adjacency, streams, lanes, kL, clockL, posflat, stepsflat,
+            settledflat, settle_clock, orderflat, unsflat, occ, final_clock,
+            rate=rate,
+        )
+    else:
+        kfL = kL.astype(np.float64)
+        km1L = kL - 1
+        denomL = kfL * rate
+        laneM = lanes * m
+        laneN = lanes * n
+        block = streams.block
+        buf = streams.buf
+        cursor = block  # forces the initial fill
+        step = _make_stepper(g, kern)
 
-    # Every live lane consumes exactly 3 doubles per tick and all lanes
-    # join at tick 0, so one shared cursor serves every buffer row; the
-    # remainder copy keeps already-drawn doubles when a tick straddles a
-    # refill (the serial stream has no block boundaries to respect).
-    while lanes.size:
-        if cursor + 3 > block:
-            for r in lanes.tolist():
-                streams.refill_tail(r, cursor)
-            cursor = 0
-        u3 = buf[lanes, cursor : cursor + 3]
-        cursor += 3
-        # exponential clock by inversion: clock += -log1p(-u) / (k·rate)
-        dt = np.log1p(-u3[:, 0])
-        np.negative(dt, out=dt)
-        dt /= denomL
-        clockL += dt
-        # ringer: uniform slot of the unsettled pool
-        i = (u3[:, 1] * kfL).astype(np.int64)
-        np.minimum(i, km1L, out=i)
-        p = unsflat[laneM + i]
-        cell = laneM + p
-        vnew = step(posflat[cell], u3[:, 2])
-        posflat[cell] = vnew
-        stepsflat[cell] += 1
-        if store is not None:
-            store.append(lanes, p, vnew)
-        occv = occ[laneN + vnew]
-        if occv.all():
-            continue
-        finished = False
-        for li in np.flatnonzero(~occv).tolist():
-            r = int(lanes[li])
-            pp = int(p[li])
-            occ[r * n + int(vnew[li])] = True
-            cellr = r * m + pp
-            settledflat[cellr] = vnew[li]
-            settle_clock[cellr] = clockL[li]
-            orders[r].append(pp)
-            kk = int(kL[li]) - 1
-            # swap-remove, as UnsettledPool does in the serial driver
-            unsflat[r * m + int(i[li])] = unsflat[r * m + kk]
-            kL[li] = kk
-            if kk:
-                kfL[li] = kk
-                km1L[li] = kk - 1
-                denomL[li] = float(kk) * rate
-            else:
-                final_clock[r] = clockL[li]
-                finished = True
-        if finished:
-            keep = kL > 0
-            lanes, kL, kfL = lanes[keep], kL[keep], kfL[keep]
-            km1L, denomL, clockL = km1L[keep], denomL[keep], clockL[keep]
-            laneM, laneN = laneM[keep], laneN[keep]
+        # Every live lane consumes exactly 3 doubles per tick and all lanes
+        # join at tick 0, so one shared cursor serves every buffer row; the
+        # remainder copy keeps already-drawn doubles when a tick straddles a
+        # refill (the serial stream has no block boundaries to respect).
+        while lanes.size:
+            if cursor + 3 > block:
+                for r in lanes.tolist():
+                    streams.refill_tail(r, cursor)
+                cursor = 0
+            u3 = buf[lanes, cursor : cursor + 3]
+            cursor += 3
+            # exponential clock by inversion: clock += -log1p(-u) / (k·rate)
+            dt = np.log1p(-u3[:, 0])
+            np.negative(dt, out=dt)
+            dt /= denomL
+            clockL += dt
+            # ringer: uniform slot of the unsettled pool
+            i = (u3[:, 1] * kfL).astype(np.int64)
+            np.minimum(i, km1L, out=i)
+            p = unsflat[laneM + i]
+            cell = laneM + p
+            vnew = step(posflat[cell], u3[:, 2])
+            posflat[cell] = vnew
+            stepsflat[cell] += 1
+            if store is not None:
+                store.append(lanes, p, vnew)
+            occv = occ[laneN + vnew]
+            if occv.all():
+                continue
+            finished = False
+            for li in np.flatnonzero(~occv).tolist():
+                r = int(lanes[li])
+                pp = int(p[li])
+                occ[r * n + int(vnew[li])] = True
+                cellr = r * m + pp
+                settledflat[cellr] = vnew[li]
+                settle_clock[cellr] = clockL[li]
+                kk = int(kL[li]) - 1
+                orderflat[r * m + m - kk - 1] = pp
+                # swap-remove, as UnsettledPool does in the serial driver
+                unsflat[r * m + int(i[li])] = unsflat[r * m + kk]
+                kL[li] = kk
+                if kk:
+                    kfL[li] = kk
+                    km1L[li] = kk - 1
+                    denomL[li] = float(kk) * rate
+                else:
+                    final_clock[r] = clockL[li]
+                    finished = True
+            if finished:
+                keep = kL > 0
+                lanes, kL, kfL = lanes[keep], kL[keep], kfL[keep]
+                km1L, denomL, clockL = km1L[keep], denomL[keep], clockL[keep]
+                laneM, laneN = laneM[keep], laneN[keep]
 
     # ---- per-repetition result assembly
     if store is None:
@@ -374,7 +395,7 @@ def batched_ctu_idla(
             total_steps=int(steps_r.sum()),
             steps=steps_r,
             settled_at=settledflat[row].copy(),
-            settle_order=np.asarray(orders[r], dtype=np.int64),
+            settle_order=orderflat[row].copy(),
             ticks=float(final_clock[r]),
             trajectories=None if traj_all is None else traj_all[r],
             num_particles=None if m == n else m,
@@ -789,8 +810,7 @@ def batched_continuous_sequential_idla(
     # local import: batched_sequential_idla lives beside _resolve_generators
     from repro.core.batched import batched_sequential_idla
 
-    if rate <= 0:
-        raise ValueError(f"rate must be > 0, got {rate}")
+    check_positive_finite("rate", rate)
     gens = _resolve_generators(seeds, seed, reps)
     if not gens:
         return []

@@ -35,6 +35,7 @@ from repro.core.sequential import sequential_idla
 from repro.core.settlement import UnsettledPool, settle_vacant_starts_inorder
 from repro.graphs.csr import Graph
 from repro.utils.rng import UniformStream, as_generator
+from repro.utils.validation import check_positive_finite
 from repro.walks.continuous import poissonise_steps
 
 __all__ = ["ctu_idla", "continuous_sequential_idla"]
@@ -70,8 +71,7 @@ def ctu_idla(
         raise ValueError(
             f"CTU IDLA needs 1 <= num_particles <= n, got {m} (n={n})"
         )
-    if rate <= 0:
-        raise ValueError(f"rate must be > 0, got {rate}")
+    check_positive_finite("rate", rate)
     rng = as_generator(seed)
     starts = resolve_origins(g, origin, m, rng)
     adj = g.adjacency_lists()

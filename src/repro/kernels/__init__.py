@@ -25,12 +25,13 @@ Providers
 Bit-identity contract
 ---------------------
 Compiled kernels activate only for materialised-CSR graphs
-(:func:`csr_arrays`); the differential harness in
-``tests/test_differential_drivers.py`` pins every swapped kernel against
-the serial oracles, double for double.  The provider passes a load-time
-self-check (:func:`_self_check`) exercising all nine entry points before
-it can be selected, so a miscompiled or mis-installed provider fails at
-resolution, not mid-run.
+(:func:`csr_arrays`), except the CTU tick kernel, which also steps the
+seven implicit families (:func:`adjacency_descriptor`); the differential
+harness in ``tests/test_differential_drivers.py`` pins every swapped
+kernel against the serial oracles, double for double.  The provider
+passes a load-time self-check (:func:`_self_check`) exercising all ten
+entry points before it can be selected, so a miscompiled or
+mis-installed provider fails at resolution, not mid-run.
 
 Fused lock-step
 ---------------
@@ -51,6 +52,14 @@ resumes), ``2`` the tail-finisher handoff holds, ``1`` every repetition
 finished, ``-1`` the next tick would exceed ``max_total_steps``.  The
 sequential driver takes it whenever the compiled tail finisher would
 engage: host CSR, the default rule and no trajectory recording.
+
+The tenth, :meth:`CompiledKernels.advance_ctu_ticks`, plays whole ticks
+of ``batched_ctu_idla``: ``0`` the window of precomputed clock
+logarithms ran out (the wrapper refills the live rows when the chunk is
+spent too, computes the next window with ``np.log1p`` and resumes),
+``1`` every repetition settled.  The CTU driver takes it on CSR graphs
+and on the seven implicit families (matched by exact type) whenever
+trajectories are not recorded.
 """
 
 from __future__ import annotations
@@ -68,6 +77,7 @@ __all__ = [
     "KernelsUnavailableError",
     "NumpyKernels",
     "available_kernels",
+    "adjacency_descriptor",
     "csr_arrays",
     "get_kernels",
 ]
@@ -82,6 +92,12 @@ _F64 = np.dtype(np.float64)
 #: Placeholder priority buffer for ``advance_rounds`` under the "index"
 #: tie-break (the kernel reads ``pid`` instead and never touches it).
 _NO_PRIO = np.zeros(1, dtype=np.int64)
+#: Placeholder CSR arrays handed to the adjacency helper for an implicit
+#: family (it reads the family descriptor instead and never touches them).
+_NO_CSR = np.zeros(1, dtype=np.int64)
+#: Ticks per window of precomputed CTU clock logarithms: bounds the
+#: ``reps x window`` log lane while keeping the hand-backs rare.
+_CTU_LOG_WINDOW = 256
 
 
 class KernelsUnavailableError(ValueError):
@@ -94,7 +110,8 @@ def csr_arrays(g) -> tuple[np.ndarray, np.ndarray] | None:
 
     Implicit families expose no ``indptr``/``indices`` (their slot kernel
     is arithmetic, and materialising would defeat their O(1)-in-n
-    footprint), so they keep the numpy path.
+    footprint), so they keep the numpy path — except in the CTU tick
+    kernel, which steps them from :func:`adjacency_descriptor`.
     :class:`repro.graphs.csr.Graph` stores both arrays C-contiguous
     ``int64``, which is exactly what the kernels consume.
     """
@@ -107,6 +124,54 @@ def csr_arrays(g) -> tuple[np.ndarray, np.ndarray] | None:
     if not (indptr.flags.c_contiguous and indices.flags.c_contiguous):
         return None
     return indptr, indices
+
+
+def _family_codes() -> dict:
+    """Implicit family class -> its code in the C adjacency helper
+    ``repro_adj_step`` (code 0 is CSR)."""
+    from repro.graphs import implicit as im
+
+    return {
+        im.ImplicitCycle: 1, im.ImplicitPath: 2, im.ImplicitComplete: 3,
+        im.ImplicitGrid: 4, im.ImplicitTorus: 5, im.ImplicitHypercube: 6,
+        im.ImplicitBinaryTree: 7,
+    }
+
+
+def adjacency_descriptor(g) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """``(indptr, indices, family)`` for the C adjacency helper, or
+    ``None`` when ``g`` must keep the numpy path.
+
+    A CSR graph (:func:`csr_arrays`) gives its arrays and family
+    ``[0, n]``.  The seven implicit families give placeholder arrays and
+    ``[code, n, params...]`` built from ``g.family`` / ``g.params``: no
+    parameters for cycle, path, complete and btree, ``[dim]`` for the
+    hypercube, ``[axes, sides..., strides...]`` for the grid and for the
+    torus's active (side >= 3) axes.  The family class must match
+    ``type(g)`` exactly — a subclass may override the slot order, so it
+    keeps the numpy path.
+    """
+    csr = csr_arrays(g)
+    if csr is not None:
+        return (*csr, np.array([0, csr[0].shape[0] - 1], dtype=np.int64))
+    code = _family_codes().get(type(g))
+    if code is None:
+        return None
+    family, params = g.family, g.params
+    if family in ("grid", "torus"):
+        sides = [int(s) for s in params["sides"]]
+        strides = [1] * len(sides)
+        for a in range(len(sides) - 2, -1, -1):
+            strides[a] = strides[a + 1] * sides[a + 1]
+        axes = [
+            (s, st) for s, st in zip(sides, strides) if family == "grid" or s >= 3
+        ]
+        fam = [len(axes), *(s for s, _ in axes), *(st for _, st in axes)]
+    elif family == "hypercube":
+        fam = [params["dim"]]
+    else:
+        fam = []
+    return _NO_CSR, _NO_CSR, np.array([code, g.n, *fam], dtype=np.int64)
 
 
 def _i64(a: np.ndarray) -> np.ndarray:
@@ -432,6 +497,111 @@ class CompiledKernels(KernelSet):
             streams.fill(live[: int(state[0])].tolist())
             state[1] = 0
 
+    def advance_ctu_ticks(
+        self, adjacency, streams, lanes, k, clock, pos, steps, settled,
+        settle_clock, order, pool, occ, final_clock, *, rate, window=None,
+    ) -> None:
+        """Run ``batched_ctu_idla``'s lock-step ticks in compiled code.
+
+        One kernel call advances up to ``window`` (default
+        ``_CTU_LOG_WINDOW``) whole ticks — exponential clock, ringer pick
+        from the unsettled pool, walk step through the adjacency helper,
+        settlement with swap-remove, in-order compaction — over the lanes
+        ``lanes`` / ``k`` / ``clock`` (one per live repetition, ascending,
+        compacted in place) and the flat per-repetition ``pos``,
+        ``steps``, ``settled``, ``settle_clock``, ``order`` and ``pool``
+        (``R * m`` each), ``occ`` (``R * n``) and ``final_clock`` (``R``).
+        ``adjacency`` is :func:`adjacency_descriptor`'s triple.
+
+        Every lane reads three doubles per tick at the shared cursor of its
+        row of ``streams.buf``, starting at ``streams.block`` (the first
+        tick refills).  Before each call this wrapper refills the live rows
+        through ``streams.refill_tail`` when the next tick would straddle
+        the chunk — the numpy tick loop's cadence — and computes the
+        window's clock logarithms with ``np.log1p``, the ufunc the numpy
+        loop uses (C's ``log1p`` differs in the last bit on a few percent
+        of doubles).  Returns when every repetition settled.
+        """
+        indptr, indices, fam = adjacency
+        for a in (indptr, indices, fam):
+            if a.dtype != _I64 or not a.flags.c_contiguous:
+                raise ValueError(
+                    "advance_ctu_ticks: adjacency_descriptor() gives C-contiguous "
+                    "int64 arrays"
+                )
+        if not (fam.shape[0] >= 2 and 0 <= fam[0] <= len(_family_codes())):
+            raise ValueError("advance_ctu_ticks: unknown adjacency family code")
+        for a in (lanes, k, pos, steps, settled, order, pool):
+            if a.dtype != _I64 or not (a.flags.c_contiguous and a.flags.writeable):
+                raise ValueError(
+                    "advance_ctu_ticks mutates its int64 state in place: "
+                    "pass writable C-contiguous int64 arrays"
+                )
+        for a in (clock, settle_clock, final_clock):
+            if a.dtype != _F64 or not (a.flags.c_contiguous and a.flags.writeable):
+                raise ValueError(
+                    "advance_ctu_ticks mutates its clocks in place: pass "
+                    "writable C-contiguous float64 arrays"
+                )
+        if occ.dtype not in (np.bool_, np.uint8) or not (
+            occ.flags.c_contiguous and occ.flags.writeable
+        ):
+            raise ValueError(
+                "advance_ctu_ticks mutates occupancy in place: pass a "
+                "writable C-contiguous bool or uint8 array"
+            )
+        R, n, L = final_clock.shape[0], int(fam[1]), lanes.shape[0]
+        m = pos.shape[0] // max(R, 1)
+        block = streams.block
+        if not (
+            k.shape == clock.shape == (L,)
+            and pos.shape == steps.shape == settled.shape == (R * m,)
+            and settle_clock.shape == order.shape == pool.shape == (R * m,)
+            and occ.shape == (R * n,)
+            and streams.buf.shape == (R, block)
+            and (fam[0] != 0 or indptr.shape[0] == n + 1)
+        ):
+            raise ValueError("advance_ctu_ticks: inconsistent lane/repetition shapes")
+        # the kernel indexes with these unchecked: one lane per live
+        # repetition, ascending; the first k pool entries of each are
+        # particles, each on a vertex it can step from
+        def within(a, hi):
+            return a.size == 0 or (0 <= a.min() and a.max() < hi)
+
+        if L and not (
+            within(lanes, R)
+            and bool(np.all(lanes[1:] > lanes[:-1]))
+            and 1 <= k.min() and k.max() <= m
+        ):
+            raise ValueError("advance_ctu_ticks: lane state out of range or unordered")
+        ids = pool.reshape(R, m)[lanes][np.arange(m) < k[:, None]]
+        walking = pos.reshape(R, m)[np.repeat(lanes, k), ids] if within(ids, m) else None
+        if walking is None or not within(walking, n):
+            raise ValueError("advance_ctu_ticks: lane state out of range or unordered")
+        if fam[0] == 0 and not bool(np.all(indptr[walking + 1] > indptr[walking])):
+            raise ValueError(
+                "advance_ctu_ticks: an unsettled particle sits on an isolated vertex"
+            )
+        window = _CTU_LOG_WINDOW if window is None else window
+        logs = np.empty((R, window), dtype=np.float64)
+        state = np.array([L, block], dtype=np.int64)
+        status = 0 if L else 1
+        while not status:
+            live = lanes[: int(state[0])]
+            cursor = int(state[1])
+            if cursor + 3 > block:
+                for r in live.tolist():
+                    streams.refill_tail(r, cursor)
+                cursor = 0
+            w = min(window, (block - cursor) // 3)
+            logs[live, :w] = np.log1p(-streams.buf[live, cursor : cursor + 3 * w : 3])
+            state[1] = cursor
+            status = self._impl.ctu_ticks(
+                indptr, indices, fam, streams.flat, block, logs, window, w,
+                lanes, k, clock, pos, steps, settled, settle_clock, order, pool,
+                _u8(occ), final_clock, n, m, rate, state,
+            )
+
     # ---- scalar-tail finisher loops ----------------------------------
     def finish_sequential(
         self, indptr, indices, occ_row, starts, tail, *,
@@ -559,7 +729,9 @@ class _RowsFeeder:
         self._rows = [_BlockFeeder(blocks) for blocks in rows]
         self.flat = np.concatenate([row.take_block() for row in self._rows])
         self.block = self.flat.shape[0] // len(rows)
+        self.buf = self.flat.reshape(len(rows), self.block)
         self.filled: list[list[int]] = []
+        self.refilled: list[tuple[int, int]] = []
         self.aligned: list[tuple[int, int]] = []
 
     def fill(self, rows) -> None:
@@ -569,12 +741,18 @@ class _RowsFeeder:
                 self._rows[r].take_block()
             )
 
+    def refill_tail(self, r: int, ptr: int) -> None:
+        self.refilled.append((r, ptr))
+        rem = self.block - ptr
+        self.buf[r, :rem] = self.buf[r, ptr:]
+        self.buf[r, rem:] = self._rows[r].take_block()[:ptr]
+
     def align_to_serial(self, r: int, consumed: int) -> None:
         self.aligned.append((r, consumed))
 
 
 def _self_check(ks: CompiledKernels) -> None:
-    """Exercise all nine kernels on the path graph P3 and assert the answers.
+    """Exercise all ten kernels on the path graph P3 and assert the answers.
 
     Catches toolchain miscompiles and broken cached libraries at
     selection time, loudly.  Inputs cross a buffer-refill boundary so the
@@ -692,6 +870,46 @@ def _self_check(ks: CompiledKernels) -> None:
     assert settled2d.tolist() == [[0, 1, 2], [0, 1, 2]] and occ.all(), settled2d
     assert feeder.filled == [[0, 1], [1]], feeder.filled
     assert feeder.aligned == [(0, 3), (1, 5)], feeder.aligned
+
+    # CTU ticks on the implicit P3 and on its CSR twin, rate 2: particle 0
+    # settled at vertex 0 in both repetitions, particles 1 and 2 wait
+    # there.  Tick 1 rings particle 1 (pool slot 0), which settles at 1;
+    # tick 2 walks particle 2 to 1; at tick 3 repetition 0 steps on to 2
+    # and finishes, repetition 1 steps back to 0, refills its 3-tick
+    # chunk alone and reaches 2 at tick 5.  Windows of 2 ticks make the
+    # three calls hand back by window, by window-and-chunk, and finished.
+    from repro.graphs.implicit import ImplicitPath
+
+    row0 = [0.25, 0.3, 0.5, 0.5, 0.5, 0.5, 0.75, 0.5, 0.2]
+    row1 = [*row0[:8], 0.7]
+    row1b = [0.125, 0.5, 0.5, 0.625, 0.5, 0.1, 0.5, 0.5, 0.5]
+    lg = np.log1p(-np.array([*row0[0:9:3], *row1b[0:6:3]]))
+    t1 = 0.0 + -lg[0] / (2 * 2.0)
+    t3 = t1 + -lg[1] / 2.0 + -lg[2] / 2.0
+    t5 = t3 + -lg[3] / 2.0 + -lg[4] / 2.0
+    junk = [np.nan] * 9
+    p3 = ImplicitPath(3)
+    for adjacency in (adjacency_descriptor(p3), adjacency_descriptor(p3.materialize())):
+        feeder = _RowsFeeder([[junk, row0], [junk, row1, row1b]])
+        lanes = np.array([0, 1], dtype=np.int64)
+        steps = np.zeros(6, dtype=np.int64)
+        settled = np.array([0, -1, -1, 0, -1, -1], dtype=np.int64)
+        settle_clock = np.zeros(6)
+        order = np.array([0, -1, -1, 0, -1, -1], dtype=np.int64)
+        occ = np.array([1, 0, 0, 1, 0, 0], dtype=bool)
+        final_clock = np.zeros(2)
+        ks.advance_ctu_ticks(
+            adjacency, feeder, lanes, np.array([2, 2], dtype=np.int64),
+            np.zeros(2), np.zeros(6, dtype=np.int64), steps, settled,
+            settle_clock, order, np.array([1, 2, 0, 1, 2, 0], dtype=np.int64),
+            occ, final_clock, rate=2.0, window=2,
+        )
+        assert feeder.refilled == [(0, 9), (1, 9), (1, 9)], feeder.refilled
+        assert steps.tolist() == [0, 1, 2, 0, 1, 4], steps
+        assert settled.tolist() == [0, 1, 2] * 2 and occ.all(), settled
+        assert order.tolist() == [0, 1, 2] * 2, order
+        assert settle_clock.tolist() == [0.0, t1, t3, 0.0, t1, t5], settle_clock
+        assert final_clock.tolist() == [t3, t5], final_clock
 
 
 # ----------------------------------------------------------------------

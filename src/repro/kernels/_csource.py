@@ -11,7 +11,7 @@ micro-loops in ``_finish_parallel_rep`` / ``_finish_sequential_rep`` /
 order around the budget checks) is deliberate and pinned by
 ``tests/test_differential_drivers.py``.
 
-Nine entry points.  The loop kernels consume uniforms from a
+Ten entry points.  The loop kernels consume uniforms from a
 caller-provided buffer and return ``0`` when it runs dry; the Python
 wrapper refills in exactly the serial drivers' block cadence (see
 ``KernelSet`` in the package root), so generator fetch positions stay on
@@ -25,6 +25,16 @@ sequential driver: ``0`` when the shared cursor reaches the end of the
 chunk (the wrapper refills the live rows and calls again), ``2`` at the
 tail-finisher handoff, ``1`` when every repetition finished, ``-1`` past
 ``max_total_steps``.
+``repro_ctu_ticks`` plays whole ticks of the CTU driver and is the one
+kernel that also steps implicit graphs: its walk step goes through the
+static helper ``repro_adj_step``, which reads either the CSR arrays or
+an implicit-family descriptor (family code plus int64 parameters, see
+``adjacency_descriptor`` in the package root).  It returns ``0`` when
+the tick window of precomputed clock logarithms runs out (the wrapper
+refills the live rows when the chunk is spent too, and calls again)
+and ``1`` when every lane settled.  No kernel calls ``log1p``: libm's
+and numpy's disagree in the last bit on a few percent of doubles, so
+the CTU clock's logarithms are computed by numpy and handed in.
 """
 
 from __future__ import annotations
@@ -64,6 +74,13 @@ i64 repro_seq_ticks(const i64 *indptr, const i64 *indices,
                     const i64 *starts, i64 *steps, i64 *settled, i64 n,
                     i64 m, i64 lazy, i64 tail_total, double budget,
                     i64 *done, i64 *state);
+i64 repro_ctu_ticks(const i64 *indptr, const i64 *indices, const i64 *fam,
+                    const double *buf, i64 block, const double *lg,
+                    i64 lstride, i64 window, i64 *lanes, i64 *k,
+                    double *clock, i64 *pos, i64 *steps, i64 *settled,
+                    double *settle_clock, i64 *order, i64 *pool,
+                    unsigned char *occ, double *final_clock, i64 n, i64 m,
+                    double rate, i64 *state);
 """
 
 C_SOURCE = """
@@ -455,5 +472,152 @@ i64 repro_seq_ticks(const i64 *indptr, const i64 *indices,
     }
     state[0] = nl; state[1] = cursor; state[2] = ticks; state[3] = nd;
     return status;
+}
+
+/* Offset draw of the clamped vector step: (i64)(u * deg), at most deg-1. */
+static i64 repro_offset(double u, i64 d)
+{
+    i64 o = (i64)(u * (double)d);
+    if (o > d - 1) o = d - 1;
+    if (o < 0) o = 0;
+    return o;
+}
+
+/* One clamped walk step from v with uniform u: the neighbour in slot
+ * (i64)(u * deg(v)) of either the CSR arrays (fam = [0, n]) or an
+ * implicit family, fam = [code, n, params...], in the slot orders
+ * documented in repro.graphs.implicit:
+ *   1 cycle: (v+1) % n, (v-1) % n
+ *   2 path: [1] at 0, [n-2] at n-1, else v+1, v-1
+ *   3 complete: slot o is o + (o >= v)
+ *   4 grid [d, sides[d], strides[d]]: forward moves on the axes where
+ *     coord < side-1 in axis order, then backward moves where coord > 0
+ *   5 torus [a, sides[a], strides[a]] over the a active (side >= 3) axes:
+ *     forward wraps in axis order, then backward wraps
+ *   6 hypercube [dim]: clear bits ascending, then set bits ascending
+ *   7 btree: children 2v+1, 2v+2 while in range, then the parent
+ * A vertex of degree 0 never steps (the drivers only walk unsettled
+ * particles, and a one-vertex graph has none). */
+static i64 repro_adj_step(const i64 *indptr, const i64 *indices,
+                          const i64 *fam, i64 v, double u)
+{
+    switch (fam[0]) {
+    case 1: {
+        i64 n = fam[1];
+        if (repro_offset(u, 2) == 0) return v + 1 == n ? 0 : v + 1;
+        return v == 0 ? n - 1 : v - 1;
+    }
+    case 2: {
+        i64 n = fam[1];
+        i64 d = (v == 0 || v == n - 1) ? 1 : 2;
+        if (repro_offset(u, d) == 0) return v == n - 1 ? v - 1 : v + 1;
+        return v - 1;
+    }
+    case 3: {
+        i64 o = repro_offset(u, fam[1] - 1);
+        return o + (o >= v);
+    }
+    case 4: {
+        i64 na = fam[2], d = 0;
+        const i64 *side = fam + 3, *stride = fam + 3 + na;
+        for (i64 a = 0; a < na; a++) {
+            i64 c = (v / stride[a]) % side[a];
+            d += (c < side[a] - 1) + (c > 0);
+        }
+        i64 o = repro_offset(u, d);
+        for (i64 a = 0; a < na; a++)
+            if ((v / stride[a]) % side[a] < side[a] - 1 && o-- == 0)
+                return v + stride[a];
+        for (i64 a = 0; a < na; a++)
+            if ((v / stride[a]) % side[a] > 0 && o-- == 0)
+                return v - stride[a];
+        return v;
+    }
+    case 5: {
+        i64 na = fam[2];
+        i64 o = repro_offset(u, 2 * na), a = o < na ? o : o - na;
+        i64 s = fam[3 + a], st = fam[3 + na + a], c = (v / st) % s;
+        if (o < na) return c == s - 1 ? v + (1 - s) * st : v + st;
+        return c == 0 ? v + (s - 1) * st : v - st;
+    }
+    case 6: {
+        i64 dim = fam[2], o = repro_offset(u, dim);
+        for (i64 b = 0; b < dim; b++)
+            if (!((v >> b) & 1) && o-- == 0) return v ^ (1LL << b);
+        for (i64 b = 0; b < dim; b++)
+            if (((v >> b) & 1) && o-- == 0) return v ^ (1LL << b);
+        return v;
+    }
+    case 7: {
+        i64 half = (fam[1] - 1) / 2;
+        i64 d = v == 0 ? 2 : (v < half ? 3 : 1);
+        i64 o = repro_offset(u, d);
+        return (v < half && o < 2) ? 2 * v + 1 + o : (v - 1) >> 1;
+    }
+    default: {
+        i64 s = indptr[v];
+        return indices[s + repro_offset(u, indptr[v + 1] - s)];
+    }
+    }
+}
+
+/* Whole lock-step ticks of batched_ctu_idla, in place.
+ * One lane per live repetition, ascending: lanes[j] = r, k[j] its
+ * unsettled-pool size, clock[j] its clock.  Every live lane consumes
+ * three doubles per tick at the shared cursor of its row,
+ * u = buf[r*block + cursor ..]: u[0] the exponential clock, whose
+ * log1p(-u[0]) the caller precomputed into lg[r*lstride + tick of the
+ * window], u[1] the ringer's slot in the pool, u[2] the walk step.
+ * Each tick: clock += -lg / (k*rate); ringer p = pool[r*m + i] with
+ * i = min((i64)(u[1]*k), k-1); one step of p; on a vacant vertex p
+ * settles (settled, settle_clock, order[r*m + m-k]) and leaves the pool
+ * by swap-remove; a repetition whose pool emptied records its clock in
+ * final_clock and leaves; survivors are compacted in order.
+ * state = [live lanes, cursor].  Plays at most `window` ticks, then
+ * returns 0 (the caller refills the live rows if cursor + 3 > block,
+ * precomputes the next window, calls again); returns 1 when no lane is
+ * left. */
+i64 repro_ctu_ticks(const i64 *indptr, const i64 *indices, const i64 *fam,
+                    const double *buf, i64 block, const double *lg,
+                    i64 lstride, i64 window, i64 *lanes, i64 *k,
+                    double *clock, i64 *pos, i64 *steps, i64 *settled,
+                    double *settle_clock, i64 *order, i64 *pool,
+                    unsigned char *occ, double *final_clock, i64 n, i64 m,
+                    double rate, i64 *state)
+{
+    i64 nl = state[0], cursor = state[1];
+    for (i64 t = 0; t < window && nl > 0; t++, cursor += 3) {
+        i64 w = 0;
+        for (i64 j = 0; j < nl; j++) {
+            i64 r = lanes[j], kr = k[j], base = r * m;
+            const double *u = buf + r * block + cursor;
+            double dt = -lg[r * lstride + t];
+            dt /= (double)kr * rate;
+            double c = clock[j] + dt;
+            i64 i = (i64)(u[1] * (double)kr);
+            if (i > kr - 1) i = kr - 1;
+            i64 p = pool[base + i], cell = base + p;
+            i64 v = repro_adj_step(indptr, indices, fam, pos[cell], u[2]);
+            pos[cell] = v;
+            steps[cell] += 1;
+            if (!occ[r * n + v]) {
+                occ[r * n + v] = 1;
+                settled[cell] = v;
+                settle_clock[cell] = c;
+                order[base + m - kr] = p;
+                kr -= 1;
+                pool[base + i] = pool[base + kr];
+                if (kr == 0) {
+                    final_clock[r] = c;
+                    continue;
+                }
+            }
+            lanes[w] = r; k[w] = kr; clock[w] = c;
+            w++;
+        }
+        nl = w;
+    }
+    state[0] = nl; state[1] = cursor;
+    return nl == 0;
 }
 """

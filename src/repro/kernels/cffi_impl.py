@@ -208,4 +208,12 @@ def load() -> SimpleNamespace:
             pi(pstep), pi(current), pu(occ), pi(starts), pi(steps),
             pi(settled), n, m, lazy, tail_total, budget, pi(done), pi(state),
         ),
+        ctu_ticks=lambda indptr, indices, fam, buf, block, lg, lstride,
+        window, lanes, k, clock, pos, steps, settled, settle_clock, order,
+        pool, occ, final_clock, n, m, rate, state: lib.repro_ctu_ticks(
+            pi(indptr), pi(indices), pi(fam), pd(buf), block, pd(lg),
+            lstride, window, pi(lanes), pi(k), pd(clock), pi(pos), pi(steps),
+            pi(settled), pd(settle_clock), pi(order), pi(pool), pu(occ),
+            pd(final_clock), n, m, rate, pi(state),
+        ),
     )

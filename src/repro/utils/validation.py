@@ -6,10 +6,13 @@ Hot loops never call these; they guard public API boundaries only, per the
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
     "check_positive",
+    "check_positive_finite",
     "check_nonnegative",
     "check_limit",
     "check_fraction",
@@ -42,6 +45,20 @@ def check_positive(name: str, value) -> None:
     """Raise ``ValueError`` unless ``value > 0``."""
     if not value > 0:
         raise ValueError(f"{name} must be > 0, got {value!r}")
+
+
+def check_positive_finite(name: str, value) -> None:
+    """Raise ``ValueError`` unless ``value`` is a finite float ``> 0``.
+
+    For rates and scales: a NaN rate turns every clock into NaN and an
+    infinite one collapses every clock to 0, both without a word.
+    """
+    try:
+        ok = math.isfinite(value) and value > 0
+    except TypeError:
+        ok = False
+    if not ok:
+        raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
 
 
 def check_nonnegative(name: str, value) -> None:

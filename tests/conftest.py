@@ -94,6 +94,7 @@ KERNEL_ENTRY_POINTS = (
     "walk_hit",
     "par_rounds",
     "seq_ticks",
+    "ctu_ticks",
 )
 
 

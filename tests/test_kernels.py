@@ -21,6 +21,12 @@ layer's own contracts:
 * the fused sequential tick kernel (``advance_ticks``) against the numpy
   tick loop of ``batched_sequential_idla``, across refills, mid-epoch
   finishes, the tail handoff and ``max_total_steps`` exhaustion;
+* the fused CTU tick kernel (``advance_ctu_ticks``) against the numpy
+  tick loop of ``batched_ctu_idla`` and the serial oracle, on all seven
+  implicit families (edge instances included), their CSR twins and
+  irregular CSR graphs, across refills, ticks straddling a chunk and
+  clock-logarithm windows; and its dispatch: one kernel call per window,
+  none for recording runs or for user subclasses of a family;
 * the cffi library cache: a corrupted cached library is rebuilt, a
   multi-word ``$CC`` builds, and the cache key covers compiler, flags
   and platform;
@@ -38,24 +44,42 @@ import numpy as np
 import pytest
 
 import repro.core.batched as batched
+import repro.core.batched_continuous as batched_continuous
 import repro.kernels as kernels_pkg
+from repro.core.continuous import ctu_idla
 from repro.core.parallel import parallel_idla
 from repro.core.sequential import sequential_idla
 from repro.graphs import (
+    Graph,
     complete_binary_tree,
     cycle_graph,
     lollipop_graph,
     star_graph,
 )
+from repro.graphs.implicit import (
+    ImplicitBinaryTree,
+    ImplicitComplete,
+    ImplicitCycle,
+    ImplicitGrid,
+    ImplicitHypercube,
+    ImplicitPath,
+    ImplicitTorus,
+)
 from repro.kernels import (
     KernelSet,
     KernelsUnavailableError,
     NumpyKernels,
+    adjacency_descriptor,
     available_kernels,
     csr_arrays,
     get_kernels,
 )
-from repro.utils.rng import UniformStream, as_generator, spawn_seed_sequences
+from repro.utils.rng import (
+    UniformStream,
+    UniformStreams,
+    as_generator,
+    spawn_seed_sequences,
+)
 from repro.walks.single import random_walk, walk_until_hit
 
 AVAILABLE = available_kernels()
@@ -585,6 +609,299 @@ def test_advance_ticks_validates_state_before_passing_pointers(provider):
     ):
         with pytest.raises(ValueError, match="out of range"):
             call(**over)
+
+
+# ---------------------------------------------------------------------------
+# fused CTU ticks: advance_ctu_ticks against the numpy tick loop
+
+#: The seven implicit families with their edge instances: the one-bit
+#: cube, tori with an inactive side-1 axis (a side-2 axis is rejected at
+#: construction), grids with side-1 and side-2 axes and reduced-degree
+#: boundaries, P2 and a path with degree-1 ends, the one-level tree, K2.
+CTU_IMPLICIT = [
+    ImplicitCycle(3),
+    ImplicitCycle(9),
+    ImplicitPath(2),
+    ImplicitPath(7),
+    ImplicitComplete(2),
+    ImplicitComplete(6),
+    ImplicitGrid(1, 5),
+    ImplicitGrid(3, 4),
+    ImplicitGrid(2, 3, 2),
+    ImplicitTorus(1, 5),
+    ImplicitTorus(3, 4),
+    ImplicitTorus(3, 1, 4),
+    ImplicitHypercube(1),
+    ImplicitHypercube(4),
+    ImplicitBinaryTree(1),
+    ImplicitBinaryTree(3),
+]
+#: ... then their CSR twins and two irregular CSR graphs.
+CTU_GRAPHS = [
+    *CTU_IMPLICIT,
+    *(g.materialize() for g in CTU_IMPLICIT),
+    star_graph(9),
+    lollipop_graph(10),
+]
+
+
+def _ctu_kwargs(i, g):
+    """Rotate full dispersion, fewer particles and random origins."""
+    fewer = {"num_particles": max(1, g.n // 2 + 1)}
+    return [{}, fewer, {"origin": "uniform"}, {**fewer, "origin": "uniform"}][i % 4]
+
+
+CTU_CASES = [(g, _ctu_kwargs(i, g)) for i, g in enumerate(CTU_GRAPHS)]
+
+
+def _ctu_case_id(case):
+    g, kwargs = case
+    build = "implicit" if type(g).__name__.startswith("Implicit") else "csr"
+    return "-".join([build, g.name, *(f"{k}={v}" for k, v in sorted(kwargs.items()))])
+
+
+def _ctu_bytes(results):
+    return [
+        (r.ticks, r.settle_clock.tobytes(), *row)
+        for r, row in zip(results, _result_bytes(results))
+    ]
+
+
+@pytest.mark.parametrize("provider", COMPILED)
+@pytest.mark.parametrize("block", [3, 4, 5, 64, None], ids=lambda b: f"block-{b}")
+@pytest.mark.parametrize("rate", [0.5, 3.0], ids=["rate-0.5", "rate-3"])
+@pytest.mark.parametrize("case", CTU_CASES, ids=_ctu_case_id)
+def test_advance_ctu_ticks_matches_tick_loop(
+    provider, block, rate, case, counting_kernels, monkeypatch
+):
+    """Byte-identical to the numpy tick loop — results including
+    ``settle_clock`` and ``settle_order``, and every generator's final
+    position — and to the serial oracle.  Chunks of 3-5 doubles make a
+    tick refill every tick or straddle a chunk (the remainder copy)."""
+    g, kwargs = case
+    kwargs = dict(kwargs)
+    origin = kwargs.pop("origin", 0)
+    monkeypatch.setattr(batched_continuous, "_BLOCK", block)
+    ks, calls = counting_kernels(provider)
+
+    def run(kern):
+        gens = [as_generator(s) for s in spawn_seed_sequences(11, 12)]
+        out = batched_continuous.batched_ctu_idla(
+            g, origin, seeds=gens, rate=rate, kernels=kern, **kwargs
+        )
+        return _ctu_bytes(out), [gen.random(4).tobytes() for gen in gens]
+
+    fused = run(ks)
+    assert fused == run("numpy")
+    serial = [
+        ctu_idla(g, origin, seed=s, rate=rate, **kwargs)
+        for s in spawn_seed_sequences(11, 12)
+    ]
+    assert fused[0] == _ctu_bytes(serial)
+    # the ticks ran fused, in no other kernel; runs that settle every
+    # particle at time 0 have no tick to play
+    assert sum(calls.values()) == calls["ctu_ticks"]
+    assert (calls["ctu_ticks"] > 0) == any(r.total_steps for r in serial)
+
+
+@pytest.mark.parametrize("provider", COMPILED)
+@pytest.mark.parametrize("window", [None, 1, 7], ids=lambda w: f"window-{w}")
+@pytest.mark.parametrize(
+    "g", [cycle_graph(48), ImplicitHypercube(5)], ids=["csr-cycle", "implicit-cube"]
+)
+def test_fused_ctu_crosses_ffi_once_per_window(
+    provider, window, g, counting_kernels, monkeypatch
+):
+    """One kernel call per window of clock logarithms, and the windows
+    restart at each refill: at most refills + windows + 1 calls, and far
+    fewer than ticks at the default window.  A silent stand-down to the
+    Python tick loop fails here."""
+    monkeypatch.setattr(batched_continuous, "_BLOCK", 300)  # 100 ticks a chunk
+    if window is not None:
+        monkeypatch.setattr(kernels_pkg, "_CTU_LOG_WINDOW", window)
+    epochs: list[list[int]] = []
+    refill = UniformStreams.refill_tail
+
+    def counted_refill(self, r, ptr):
+        if not epochs or r <= epochs[-1][-1]:
+            epochs.append([])  # a new pass over the live rows
+        epochs[-1].append(r)
+        refill(self, r, ptr)
+
+    monkeypatch.setattr(UniformStreams, "refill_tail", counted_refill)
+    ks, calls = counting_kernels(provider)
+    seeds = spawn_seed_sequences(5, 20)
+    batch = batched_continuous.batched_ctu_idla(g, seeds=seeds, kernels=ks)
+    ticks = max(r.total_steps for r in batch)
+    windows = -(-ticks // kernels_pkg._CTU_LOG_WINDOW)
+    assert len(epochs) > 1, "the small chunk must force refill hand-backs"
+    assert sum(calls.values()) == calls["ctu_ticks"] <= len(epochs) + windows + 1
+    if window is None:
+        assert 20 * calls["ctu_ticks"] < ticks, (dict(calls), ticks)
+    serial = [ctu_idla(g, seed=s) for s in seeds]
+    assert _ctu_bytes(batch) == _ctu_bytes(serial)
+
+
+class _ReversedCycle(ImplicitCycle):
+    """A user family: the implicit cycle with its two slots swapped."""
+
+    def _slots(self, positions, offsets):
+        return super()._slots(positions, 1 - offsets)
+
+
+@pytest.mark.parametrize("provider", COMPILED)
+@pytest.mark.parametrize(
+    "g, record",
+    [(_ReversedCycle(12), False), (ImplicitCycle(12), True), (cycle_graph(12), True)],
+    ids=["subclass", "implicit-record", "csr-record"],
+)
+def test_subclasses_and_recording_keep_the_numpy_tick_loop(
+    provider, g, record, counting_kernels
+):
+    """The fused path matches a family by exact type — a subclass may
+    reorder its slots, which the C helper would not see — and does not
+    record trajectories; both keep the numpy tick loop and the serial
+    oracle's results."""
+    ks, calls = counting_kernels(provider)
+
+    def run(kern):
+        return batched_continuous.batched_ctu_idla(
+            g, seeds=spawn_seed_sequences(3, 8), record=record, kernels=kern
+        )
+
+    out = run(ks)
+    assert calls["ctu_ticks"] == 0
+    serial = [ctu_idla(g, seed=s, record=record) for s in spawn_seed_sequences(3, 8)]
+    for batch in (out, run("numpy")):
+        assert _ctu_bytes(batch) == _ctu_bytes(serial)
+        assert [r.trajectories for r in batch] == [r.trajectories for r in serial]
+    if not record:  # the swapped slots really change the walks
+        plain = batched_continuous.batched_ctu_idla(
+            ImplicitCycle(12), seeds=spawn_seed_sequences(3, 8), kernels=ks
+        )
+        assert _ctu_bytes(plain) != _ctu_bytes(out)
+
+
+def test_adjacency_descriptor_covers_csr_and_the_seven_families():
+    """Family code, vertex count and parameters; torus side-1 axes drop
+    out; anything but an exact family type or CSR keeps the numpy path."""
+    codes = {
+        type(g): adjacency_descriptor(g)[2].tolist()
+        for g in (
+            ImplicitCycle(5), ImplicitPath(4), ImplicitComplete(3),
+            ImplicitHypercube(3), ImplicitBinaryTree(2),
+        )
+    }
+    assert codes == {
+        ImplicitCycle: [1, 5],
+        ImplicitPath: [2, 4],
+        ImplicitComplete: [3, 3],
+        ImplicitHypercube: [6, 8, 3],
+        ImplicitBinaryTree: [7, 7],
+    }
+    assert adjacency_descriptor(ImplicitGrid(2, 1, 3))[2].tolist() == [
+        4, 6, 3, 2, 1, 3, 3, 3, 1,
+    ]
+    assert adjacency_descriptor(ImplicitTorus(3, 1, 4))[2].tolist() == [
+        5, 12, 2, 3, 4, 4, 1,
+    ]
+    g = cycle_graph(6)
+    indptr, indices, fam = adjacency_descriptor(g)
+    assert indptr is g.indptr and indices is g.indices and fam.tolist() == [0, 6]
+    assert adjacency_descriptor(_ReversedCycle(6)) is None
+    assert adjacency_descriptor(object()) is None
+
+
+@pytest.mark.parametrize("provider", COMPILED)
+def test_self_check_rejects_a_broken_advance_ctu_ticks(provider, counting_kernels):
+    """A provider whose CTU tick kernel misbehaves fails at selection."""
+    ks, _ = counting_kernels(provider)
+    kernels_pkg._self_check(ks)
+    ks._impl.ctu_ticks = lambda *args: 1  # "all settled" without a tick
+    with pytest.raises(AssertionError):
+        kernels_pkg._self_check(ks)
+
+
+@pytest.mark.parametrize("provider", COMPILED)
+def test_advance_ctu_ticks_validates_state_before_passing_pointers(provider):
+    """The lanes and per-repetition state are written in place, so a
+    converting copy would lose the result: a wrong dtype or a strided
+    array is refused up front, and so are shapes and ids that would send
+    the kernel out of bounds."""
+    ks = get_kernels(provider)
+    g = cycle_graph(3)
+
+    def call(adjacency=adjacency_descriptor(g), **over):
+        streams = UniformStreams([as_generator(s) for s in (1, 2)], block=6)
+        args = dict(
+            lanes=np.array([0, 1], dtype=np.int64),
+            k=np.array([2, 2], dtype=np.int64),
+            clock=np.zeros(2),
+            pos=np.zeros(6, dtype=np.int64),
+            steps=np.zeros(6, dtype=np.int64),
+            settled=np.array([0, -1, -1, 0, -1, -1], dtype=np.int64),
+            settle_clock=np.zeros(6),
+            order=np.array([0, -1, -1, 0, -1, -1], dtype=np.int64),
+            pool=np.array([1, 2, 0, 1, 2, 0], dtype=np.int64),
+            occ=np.array([1, 0, 0, 1, 0, 0], dtype=bool),
+            final_clock=np.zeros(2),
+        )
+        args.update(over)
+        ks.advance_ctu_ticks(adjacency, streams, *args.values(), rate=1.0)
+        return args
+
+    done = call()
+    assert done["settled"].reshape(2, 3)[:, 1:].min() >= 1 and done["occ"].all()
+    assert (done["final_clock"] > 0).all()
+    indptr, indices, fam = adjacency_descriptor(g)
+    with pytest.raises(ValueError, match="C-contiguous int64"):
+        call(adjacency=(indptr, indices, fam.astype(np.int32)))
+    with pytest.raises(ValueError, match="family code"):
+        call(adjacency=(indptr, indices, np.array([8, 3], dtype=np.int64)))
+    for over in (
+        {"pos": np.zeros(6)},
+        {"k": np.array([2, 2], dtype=np.int32)},
+        {"clock": np.zeros(2, dtype=np.float32)},
+        {"settle_clock": np.zeros(12)[::2]},
+        {"occ": np.array([1, 0, 0, 1, 0, 0], dtype=np.int64)},
+        {"lanes": np.array([0, 0, 1, 1], dtype=np.int64)[::2]},
+    ):
+        with pytest.raises(ValueError, match="in place"):
+            call(**over)
+    for over in (
+        {"occ": np.zeros(3, dtype=bool)},
+        {"k": np.array([2], dtype=np.int64)},
+        {"order": np.zeros(5, dtype=np.int64)},
+    ):
+        with pytest.raises(ValueError, match="shapes"):
+            call(**over)
+    for over in (
+        {"lanes": np.array([0, 2], dtype=np.int64)},
+        {"lanes": np.array([1, 0], dtype=np.int64)},
+        {"k": np.array([2, 0], dtype=np.int64)},
+        {"k": np.array([2, 4], dtype=np.int64)},
+        {"pool": np.array([1, 2, 0, 1, 3, 0], dtype=np.int64)},
+        {"pos": np.array([0, 0, 0, 0, 3, 0], dtype=np.int64)},
+    ):
+        with pytest.raises(ValueError, match="out of range"):
+            call(**over)
+    # a settled particle may rest on an isolated vertex (it never steps
+    # again); a walking one would make the CSR step read past the arrays
+    g = Graph.from_edges(3, [(0, 1)])
+    done = call(
+        adjacency_descriptor(g), k=np.array([1, 1], dtype=np.int64),
+        pos=np.array([2, 0, 0, 2, 0, 0], dtype=np.int64),
+        settled=np.array([2, -1, -1, 2, -1, -1], dtype=np.int64),
+        occ=np.array([0, 0, 1, 0, 0, 1], dtype=bool),
+        pool=np.array([1, 0, 0, 1, 0, 0], dtype=np.int64),
+    )
+    assert done["settled"].tolist() == [2, 1, -1, 2, 1, -1]
+    with pytest.raises(ValueError, match="isolated vertex"):
+        call(
+            adjacency_descriptor(g), k=np.array([1, 1], dtype=np.int64),
+            pos=np.array([0, 2, 0, 0, 0, 0], dtype=np.int64),
+            occ=np.array([1, 0, 0, 1, 0, 0], dtype=bool),
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,12 @@ from repro.core import (
     sequential_idla,
     uniform_idla,
 )
+from repro.core.batched_continuous import (
+    batched_continuous_sequential_idla,
+    batched_ctu_idla,
+)
+from repro.core.continuous import continuous_sequential_idla, ctu_idla
+from repro.experiments import estimate_dispersion
 from repro.graphs import cycle_graph
 from repro.utils.rng import spawn_seed_sequences
 from repro.utils.timing import Stopwatch
@@ -20,6 +26,7 @@ from repro.utils.validation import (
     check_limit,
     check_nonnegative,
     check_positive,
+    check_positive_finite,
     check_probability_vector,
 )
 
@@ -111,6 +118,52 @@ def test_infinite_and_zero_budgets_stay_legal(kwarg, run):
     assert plain(run(**{kwarg: float("inf")})) == plain(run())
     with pytest.raises(RuntimeError, match=f"{kwarg}=0"):
         run(**{kwarg: 0})
+
+
+class TestCheckPositiveFinite:
+    @pytest.mark.parametrize("ok", [1, 0.5, 1e-300, 3.0, np.float64(2.5), np.int64(4)])
+    def test_accepts_positive_finite(self, ok):
+        check_positive_finite("rate", ok)
+
+    @pytest.mark.parametrize(
+        "bad", [float("nan"), float("inf"), float("-inf"), 0, 0.0, -1, "1", None]
+    )
+    def test_rejects_nan_inf_nonpositive_and_non_numbers(self, bad):
+        with pytest.raises(ValueError, match="rate must be a finite number > 0"):
+            check_positive_finite("rate", bad)
+
+
+#: Every public entry point taking a clock ``rate``, serial and batched,
+#: plus the runner (which forwards it to either).
+RATED = [
+    lambda rate: ctu_idla(cycle_graph(8), seed=1, rate=rate),
+    lambda rate: batched_ctu_idla(cycle_graph(8), reps=3, seed=1, rate=rate),
+    lambda rate: continuous_sequential_idla(cycle_graph(8), seed=1, rate=rate),
+    lambda rate: batched_continuous_sequential_idla(
+        cycle_graph(8), reps=3, seed=1, rate=rate
+    ),
+    lambda rate: estimate_dispersion(cycle_graph(8), "ctu", reps=3, rate=rate),
+    lambda rate: estimate_dispersion(
+        cycle_graph(8), "c-sequential", reps=3, rate=rate, batched=True
+    ),
+]
+RATED_IDS = [
+    "ctu", "batched-ctu", "c-sequential", "batched-c-sequential",
+    "runner-ctu", "runner-c-sequential",
+]
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [float("nan"), float("inf"), float("-inf"), 0.0, -1.0],
+    ids=["nan", "inf", "-inf", "zero", "negative"],
+)
+@pytest.mark.parametrize("run", RATED, ids=RATED_IDS)
+def test_non_finite_or_nonpositive_rate_raises_naming_rate(run, bad):
+    """A NaN rate used to give ``dispersion_time = nan`` and an infinite
+    one all-zero samples, silently."""
+    with pytest.raises(ValueError, match="rate must be a finite number > 0"):
+        run(bad)
 
 
 class TestCheckFraction:

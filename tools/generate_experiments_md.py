@@ -214,9 +214,11 @@ SECTIONS = [
         "implementation — compiled inner-loop kernels (REPRO_KERNELS seam)",
         "the compiled kernel provider (cffi C kernels) runs the "
         "scalar-tail-dominated sequential workload >= 3x over pure numpy "
-        "on the Table-1 cycle (measured ~20x), and the parallel and "
+        "on the Table-1 cycle (measured ~20x), the parallel and "
         "sequential lock-step workloads >= 3x each (whole rounds or ticks "
-        "in C between refill epochs), "
+        "in C between refill epochs), and the CTU lock-step on the "
+        "implicit hypercube >= 3x (whole ticks in C, implicit adjacency "
+        "included), "
         "byte-identical to the numpy provider on every result field",
     ),
 ]
