@@ -6,9 +6,11 @@ times.  The serial runner replays the full per-round NumPy dispatch cost
 ``Θ(n² log n)`` rounds on a handful of stragglers) that overhead dwarfs
 the useful element work.  The drivers here advance **all repetitions in
 lock-step** instead: one flat state vector concatenates every
-repetition's unsettled particles, one :func:`repro.walks.engine
-.neighbor_step` call advances them together through the graph's slot
-kernel, and one lexsort resolves settlement per
+repetition's unsettled particles, one vector walk step advances them
+together through the graph's slot kernel (:func:`_make_stepper`, the
+step every numpy lock-step body here and in
+:mod:`repro.core.batched_continuous` shares), and one lexsort resolves
+settlement per
 ``(repetition, vertex)`` cell.  Per-repetition completion masks drop
 finished repetitions from the flat state, so round ``t`` costs
 ``O(live particles at t)`` plus a constant number of NumPy calls — the
@@ -20,10 +22,8 @@ Streaming buffers and the scalar tail finisher
 Uniforms come from :class:`repro.utils.rng.UniformStreams`: per-repetition
 refill chunks over one shared buffer whose total size is *bounded* (the
 chunk shrinks as the repetition count grows), so batching is open to any
-graph size and repetition count — the old ``reps × block`` preallocation
-and the ``_BATCHED_MAX_BUFFER_DOUBLES`` auto-dispatch decline it forced
-are gone.  Chunk-invariance of NumPy double streams makes the chunk size
-invisible in the results.
+graph size and repetition count.  Chunk-invariance of NumPy double
+streams makes the chunk size invisible in the results.
 
 The same property permits a mid-stream handoff: once only a few
 **repetitions survive** (for the parallel driver, each additionally down
@@ -34,9 +34,7 @@ repetition is handed to a plain-Python micro-loop (the serial drivers'
 own narrow-phase shape) that continues its uniform stream via
 :meth:`UniformStreams.tail` — the *scalar tail finisher*, engaged
 throughout the deep ``Θ(n² log n)`` settlement tails the paper proves
-for the cycle (counting live *particles*, the old criterion, kept the
-round machinery running until the stragglers' combined width shrank
-too).
+for the cycle.
 
 Compiled lock-step
 ------------------
@@ -109,7 +107,7 @@ from repro.core.settlement import (
 )
 from repro.core.stopping_rules import StoppingRule, standard_rule
 from repro.core.trajectory import TrajectoryStore
-from repro.graphs.csr import Graph, neighbor_kernel
+from repro.graphs.csr import Graph, check_walkers, neighbor_kernel
 from repro.kernels import csr_arrays, get_kernels
 from repro.utils.validation import check_integer, check_limit
 from repro.utils.rng import (
@@ -119,7 +117,6 @@ from repro.utils.rng import (
     resolve_stream_block,
     spawn_generators,
 )
-from repro.walks.engine import neighbor_step
 
 __all__ = [
     "batched_parallel_idla",
@@ -139,9 +136,7 @@ _BLOCK: int | None = None
 #: for the parallel driver, each is already in the serial driver's scalar
 #: narrow phase), every straggler repetition is handed to the serial
 #: scalar micro-loop.  Counting *repetitions* rather than particles is
-#: what engages the finisher throughout the deep settlement tail — a
-#: handful of stragglers used to keep the whole lock-step round machinery
-#: running until their combined particle count shrank too.
+#: what engages the finisher throughout the deep settlement tail.
 _TAIL_THRESHOLD = 16
 
 
@@ -208,11 +203,9 @@ def buffer_doubles(process: str, reps: int, num_particles: int) -> int:
     driver: the synchronous processes resolve here, the tick-scheduled
     ones — **including** ``c-sequential``, whose driver lives in
     :mod:`repro.core.batched_continuous` — through that module's
-    ``stream_block``.  The old version sized every non-continuous process
-    with this module's block constant, which reported a size unrelated to
-    what the owning driver allocated.  Since the streaming scheme bounds
-    the total by construction, this is no longer a dispatch input, just
-    an introspection helper.
+    ``stream_block``.  The streaming scheme bounds the total by
+    construction, so this is an introspection helper, not a dispatch
+    input.
     """
     if process in ("ctu", "uniform", "c-sequential"):
         from repro.core.batched_continuous import (
@@ -245,6 +238,142 @@ def _resolve_tail_threshold(tail_threshold) -> int:
     if threshold < 0:
         raise ValueError(f"tail_threshold must be >= 0, got {tail_threshold}")
     return threshold
+
+
+# ----------------------------------------------------------------------
+# Scaffolding shared by the four lock-step drivers
+# ----------------------------------------------------------------------
+def _run_cohorts(driver, gens, cohort_reps: int, opts: dict, **resolved):
+    """Run a budgeted call as cohorts of ``cohort_reps`` repetitions.
+
+    ``opts`` is the driver's own call (its ``locals()`` on entry);
+    ``resolved`` overrides entries with values the driver already
+    resolved.  Repetition ``r`` always consumes generator ``r``'s stream,
+    so the grouping is invisible in the results; each cohort call
+    re-resolves the same plan and proceeds single-cohort.  Callers pass
+    ``driver`` by its module-global name, so a wrapper installed on the
+    module sees every cohort.
+    """
+    kwargs = {k: v for k, v in opts.items() if k not in ("reps", "seeds", "seed")}
+    kwargs.update(resolved)
+    out: list[DispersionResult] = []
+    for a, b in cohort_slices(len(gens), cohort_reps):
+        out.extend(driver(seeds=gens[a:b], **kwargs))
+    return out
+
+
+def _resolve_starts(g: Graph, origin, m: int, gens) -> np.ndarray:
+    """``(R, m)`` start vertices, each row drawn from its repetition's
+    generator exactly as the serial driver draws them."""
+    starts2d = np.empty((len(gens), m), dtype=np.int64)
+    for r, gen in enumerate(gens):
+        starts2d[r] = resolve_origins(g, origin, m, gen)
+    return starts2d
+
+
+def _make_stepper(g: Graph, kernels):
+    """One-walk-step kernel ``(positions, u) -> new positions``.
+
+    The inlined :func:`repro.walks.engine.neighbor_step` with precomputed
+    degree arrays, resolving slots through the graph's ``neighbor_slots``
+    kernel (CSR gather or implicit arithmetic); regular graphs (most of
+    Table 1) reduce the degree gathers to scalar arithmetic and allocate
+    no O(n) helpers.  ``kernels`` is the caller's resolved provider; for a
+    compiled one the fused offset+gather (bit-identical by construction)
+    replaces both closures whenever the graph exposes CSR arrays and the
+    call is at least ``kernels.min_width`` lanes wide — narrow calls (the
+    end of a settlement tail, few repetitions) stay on the numpy path,
+    where they are faster.
+    """
+    kernel = neighbor_kernel(g)
+    degrees = g.degrees
+    if g.n > 0 and g.is_regular():
+        c_int = int(degrees[0])
+        c_float = float(c_int)
+
+        def step(pos, u):
+            off = (u * c_float).astype(np.int64)
+            np.minimum(off, c_int - 1, out=off)
+            return kernel(pos, off)
+
+    else:
+        degf = degrees.astype(np.float64)
+        degm1 = degrees - 1
+
+        def step(pos, u):
+            off = (u * degf[pos]).astype(np.int64)
+            np.minimum(off, degm1[pos], out=off)
+            return kernel(pos, off)
+
+    fused = kernels.stepper(g)
+    if fused is not None:
+        minw = kernels.min_width
+        numpy_step = step
+
+        def step(pos, u):
+            if pos.shape[0] >= minw:
+                return fused(pos, u)
+            return numpy_step(pos, u)
+
+    return step
+
+
+def _assemble_results(
+    g: Graph,
+    process: str,
+    starts2d,
+    steps2d,
+    settled2d,
+    orders,
+    store: TrajectoryStore | None,
+    record,
+    *,
+    dispersion=None,
+    ticks=None,
+    **extras,
+) -> list[DispersionResult]:
+    """One :class:`DispersionResult` per repetition, in the serial shape.
+
+    ``steps2d`` / ``settled2d`` are ``(R, m)``; ``orders[r]`` is
+    repetition ``r``'s settle order.  ``dispersion`` defaults to each
+    repetition's largest step count; ``ticks`` is left ``None`` unless
+    given.  Recorded trajectories finalise as lists, or as
+    :class:`~repro.core.trajectory.TrajectoryArrays` for
+    ``record="arrays"``.  Each non-``None`` entry of ``extras`` (rows
+    indexed by repetition) is attached as that attribute, as the serial
+    drivers attach theirs to the frozen result.
+    """
+    if store is None:
+        traj = None
+    elif record == "arrays":
+        traj = store.finalize_arrays()
+    else:
+        traj = store.finalize()
+    m = steps2d.shape[1]
+    results = []
+    for r in range(steps2d.shape[0]):
+        steps_r = steps2d[r].copy()
+        result = DispersionResult(
+            process=process,
+            graph_name=g.name,
+            n=g.n,
+            origin=int(starts2d[r, 0]),
+            dispersion_time=(
+                int(steps_r.max()) if dispersion is None else dispersion[r]
+            ),
+            total_steps=int(steps_r.sum()),
+            steps=steps_r,
+            settled_at=settled2d[r].copy(),
+            settle_order=np.array(orders[r], dtype=np.int64),
+            ticks=None if ticks is None else float(ticks[r]),
+            trajectories=None if traj is None else traj[r],
+            num_particles=None if m == g.n else m,
+        )
+        for name, rows in extras.items():
+            if rows is not None:
+                object.__setattr__(result, name, rows[r])
+        results.append(result)
+    return results
 
 
 # ----------------------------------------------------------------------
@@ -500,6 +629,7 @@ def batched_parallel_idla(
     >>> [r.is_complete_dispersion() for r in batch]
     [True, True, True]
     """
+    opts = dict(locals())
     n = g.n
     m = n if num_particles is None else check_integer("num_particles", num_particles)
     if m < 1:
@@ -515,30 +645,9 @@ def batched_parallel_idla(
         return []
     plan = plan_state(state_budget, "parallel", n, m)
     if plan.cohort_reps < R:
-        # budgeted cohorts: run `cohort_reps` repetitions to completion at
-        # a time.  Repetition r always consumes generator r's stream, so
-        # the grouping is invisible in the results; the recursive call
-        # re-resolves the same plan and proceeds single-cohort.
-        out: list[DispersionResult] = []
-        for a, b in cohort_slices(R, plan.cohort_reps):
-            out.extend(
-                batched_parallel_idla(
-                    g,
-                    origin,
-                    seeds=gens[a:b],
-                    lazy=lazy,
-                    record=record,
-                    tie_break=tie_break,
-                    rule=rule,
-                    num_particles=num_particles,
-                    scalar_threshold=scalar_threshold,
-                    max_rounds=max_rounds,
-                    tail_threshold=tail_threshold,
-                    state_budget=state_budget,
-                    kernels=kern,
-                )
-            )
-        return out
+        return _run_cohorts(
+            batched_parallel_idla, gens, plan.cohort_reps, opts, kernels=kern
+        )
     step_chunk = plan.step_chunk
     use_default_rule = rule is None or rule is standard_rule
     budget = check_limit("max_rounds", max_rounds)
@@ -548,13 +657,12 @@ def batched_parallel_idla(
     # With the default "index" tie-break the priority of particle p is p
     # itself, so `pid` doubles as the priority vector and prio2d stays None.
     arange_m = np.arange(m, dtype=np.int64)
-    starts2d = np.empty((R, m), dtype=np.int64)
-    prio2d = None if tie_break == "index" else np.empty((R, m), dtype=np.int64)
-    for r, gen in enumerate(gens):
-        starts2d[r] = resolve_origins(g, origin, m, gen)
-        if prio2d is not None:
-            # σ(1) = 1 as in the serial driver: particle 0 keeps top priority
-            prio2d[r, 0] = 0
+    starts2d = _resolve_starts(g, origin, m, gens)
+    prio2d = None
+    if tie_break == "random":
+        # σ(1) = 1 as in the serial driver: particle 0 keeps top priority
+        prio2d = np.zeros((R, m), dtype=np.int64)
+        for r, gen in enumerate(gens):
             prio2d[r, 1:] = 1 + gen.permutation(m - 1)
 
     store = TrajectoryStore(starts2d, n) if record else None
@@ -587,6 +695,7 @@ def batched_parallel_idla(
         alive = free[rep_ids] > 0
         rep_ids, pid = rep_ids[alive], pid[alive]
     pos = starts2d[rep_ids, pid].copy()
+    check_walkers(g, pos)
 
     streams = _parallel_streams(gens, m, plan.stream_budget_doubles)
     block = streams.block
@@ -675,8 +784,6 @@ def batched_parallel_idla(
         and every survivor is already inside the serial driver's scalar
         narrow phase (``<= scalar_threshold`` live particles), so the
         micro-loop is the regime the serial driver itself would use.
-        Counting live particles instead (the old criterion) kept the
-        round machinery running through the whole deep settlement tail.
         """
         if tail_total <= 0 or rep_ids.size == 0:
             return False
@@ -685,12 +792,9 @@ def batched_parallel_idla(
             and int(k.max()) <= scalar_threshold
         )
 
-    kernel = neighbor_kernel(g)
-    degrees_g = g.degrees
     # compiled inner-loop layer (all None on the numpy provider): the
-    # step/finisher need a materialised host CSR; the settlement kernel
-    # needs no CSR, so it serves implicit families too.
-    fused = kern.stepper(g)
+    # finisher needs a materialised host CSR; the settlement kernel needs
+    # no CSR, so it serves implicit families too.
     csr = csr_arrays(g) if kern.compiled else None
     settle_scratch = kern.make_settle_scratch(n)
     limit_msg = f"parallel IDLA exceeded max_rounds={max_rounds}"
@@ -718,21 +822,10 @@ def batched_parallel_idla(
     else:
         rebuild()
         handoff = tail_ready()
-    # narrow rounds (the settlement tail) keep the numpy expressions: the
+    step = _make_stepper(g, kern)
+    # narrow rounds (the settlement tail) keep the numpy settlement: the
     # compiled call overhead only pays for itself from min_width lanes up
     minw = kern.min_width
-    # regular graphs (most of Table 1): constant degree turns the degree
-    # gathers into scalar arithmetic — the round body drops to the uniform
-    # lookup, the slot kernel and the occupancy probe.  The O(n) helper
-    # arrays exist only on the irregular path, so implicit regular
-    # families keep their O(1)-in-m footprint.
-    regular = n > 0 and g.is_regular()
-    if regular:
-        c_int = int(degrees_g[0])
-        c_float = float(c_int)
-    else:
-        degm1 = degrees_g - 1
-        degf = degrees_g.astype(np.float64)
 
     while rep_ids.size:
         if handoff:
@@ -791,72 +884,22 @@ def batched_parallel_idla(
         if rounds_buffered <= 0:
             refill()
         rounds_buffered -= 1
-        if step_chunk is not None and step_chunk < rep_ids.size:
-            # budgeted round body: identical elementwise work over
-            # `step_chunk`-sized slices of the flat state, so the per-round
-            # scratch (uniform gathers, offsets, `where` temps) is bounded
-            # by the chunk instead of the walker count.  Elementwise ufuncs
-            # are slice-invariant, so every double lands exactly where the
-            # one-shot body would put it.
-            for a in range(0, rep_ids.size, step_chunk):
-                sl = slice(a, min(a + step_chunk, rep_ids.size))
-                wide_enough = fused is not None and sl.stop - sl.start >= minw
-                if lazy:
-                    we = wide_exp[sl]
-                    u = buf_flat[bidx[sl]]
-                    u2 = buf_flat[bidx[sl] + np.where(we, k_exp[sl], 0)]
-                    move = u >= 0.5
-                    ustep = np.where(we, u2, 2.0 * (u - 0.5))
-                    if wide_enough:
-                        new = fused(pos[sl], ustep)
-                    else:
-                        new = neighbor_step(kernel, degrees_g, pos[sl], ustep)
-                    pos[sl] = np.where(move, new, pos[sl])
-                elif wide_enough:
-                    pos[sl] = fused(pos[sl], buf_flat[bidx[sl]])
-                elif regular:
-                    u = buf_flat[bidx[sl]]
-                    offsets = (u * c_float).astype(np.int64)
-                    np.minimum(offsets, c_int - 1, out=offsets)
-                    pos[sl] = kernel(pos[sl], offsets)
-                else:
-                    u = buf_flat[bidx[sl]]
-                    deg = degf[pos[sl]]
-                    offsets = (u * deg).astype(np.int64)
-                    np.minimum(offsets, degm1[pos[sl]], out=offsets)
-                    pos[sl] = kernel(pos[sl], offsets)
-        elif lazy:
-            u = buf_flat[bidx]
-            u2 = buf_flat[bidx + np.where(wide_exp, k_exp, 0)]
-            move = u >= 0.5
-            # wide phase: independent step uniform; scalar tail: upper half
-            ustep = np.where(wide_exp, u2, 2.0 * (u - 0.5))
-            if fused is not None and pos.size >= minw:
-                new = fused(pos, ustep)
+        # one slice, or `step_chunk`-sized slices under a budget so the
+        # per-round scratch (uniform gathers, offsets, `where` temps) is
+        # bounded by the chunk; elementwise ufuncs are slice-invariant, so
+        # every double lands where the one-slice body puts it
+        width = rep_ids.size if step_chunk is None else step_chunk
+        for a in range(0, rep_ids.size, width):
+            sl = slice(a, a + width)
+            u = buf_flat[bidx[sl]]
+            if lazy:
+                # wide phase: independent step uniform; scalar tail: upper half
+                we = wide_exp[sl]
+                u2 = buf_flat[bidx[sl] + np.where(we, k_exp[sl], 0)]
+                new = step(pos[sl], np.where(we, u2, 2.0 * (u - 0.5)))
+                pos[sl] = np.where(u >= 0.5, new, pos[sl])
             else:
-                new = neighbor_step(kernel, degrees_g, pos, ustep)
-            pos = np.where(move, new, pos)
-        elif fused is not None and pos.size >= minw:
-            # one C pass fuses the degree gather, offset truncation and
-            # slot gather — no walker-sized transients
-            pos = fused(pos, buf_flat[bidx])
-        elif regular:
-            # constant degree: offsets come from scalar arithmetic and the
-            # slot kernel resolves them (one CSR hop, or pure arithmetic
-            # on implicit families)
-            u = buf_flat[bidx]
-            offsets = (u * c_float).astype(np.int64)
-            np.minimum(offsets, c_int - 1, out=offsets)
-            pos = kernel(pos, offsets)
-        else:
-            # neighbor_step inlined with precomputed float degrees /
-            # degrees-1 arrays: the fast path is these vector ops plus the
-            # occupancy probe
-            u = buf_flat[bidx]
-            deg = degf[pos]
-            offsets = (u * deg).astype(np.int64)
-            np.minimum(offsets, degm1[pos], out=offsets)
-            pos = kernel(pos, offsets)
+                pos[sl] = step(pos[sl], u)
         if store is not None:
             # one vertex per active particle per round, holds included —
             # the serial record shape, appended as one chunked slice
@@ -879,9 +922,7 @@ def batched_parallel_idla(
             if winners.size == 0:
                 continue
         else:
-            cand = chunked_vacancies(
-                occ, rep_off, pos, step_chunk, kernels=kern
-            )
+            cand = chunked_vacancies(occ, rep_off, pos, step_chunk)
             if cand.size == 0:
                 continue
             if not use_default_rule:
@@ -918,36 +959,17 @@ def batched_parallel_idla(
         compact(keep, np.unique(w_rep))
         handoff = tail_ready()
 
-    # ---- per-repetition result assembly
-    if store is None:
-        traj_all = None
-    elif record == "arrays":
-        traj_all = store.finalize_arrays()
-    else:
-        traj_all = store.finalize()
-    results = []
+    # settle order: by round, then priority; τ over settled particles only
+    orders = []
     for r in range(R):
         settled = np.flatnonzero(settled2d[r] >= 0)
         prio_vals = settled if prio2d is None else prio2d[r, settled]
-        order = np.lexsort((prio_vals, round2d[r, settled]))
-        steps_r = steps2d[r].copy()
-        dispersion = int(steps_r[settled].max()) if settled.size else 0
-        results.append(
-            DispersionResult(
-                process=process,
-                graph_name=g.name,
-                n=n,
-                origin=int(starts2d[r, 0]),
-                dispersion_time=dispersion,
-                total_steps=int(steps_r.sum()),
-                steps=steps_r,
-                settled_at=settled2d[r].copy(),
-                settle_order=settled[order],
-                trajectories=None if traj_all is None else traj_all[r],
-                num_particles=None if m == n else m,
-            )
-        )
-    return results
+        orders.append(settled[np.lexsort((prio_vals, round2d[r, settled]))])
+    dispersion = np.where(settled2d >= 0, steps2d, 0).max(axis=1).tolist()
+    return _assemble_results(
+        g, process, starts2d, steps2d, settled2d, orders, store, record,
+        dispersion=dispersion,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -1045,7 +1067,8 @@ def batched_sequential_idla(
 
     Each repetition has exactly one walking particle at a time, so the
     flat state is one position per live repetition and every tick
-    advances all of them with a single :func:`neighbor_step`.  Repetition
+    advances all of them with one call of the shared walk step
+    (:func:`_make_stepper`).  Repetition
     streams, settlement and the instant-settle release chain follow the
     serial driver exactly — entry ``r`` of the result is bit-identical to
     ``sequential_idla(g, origin, seed=seeds[r], ...)``, and every
@@ -1072,6 +1095,7 @@ def batched_sequential_idla(
     runner's auto dispatch accounts for this); the parallel driver, whose
     batch width is repetitions × active particles, wins much earlier.
     """
+    opts = dict(locals())
     n = g.n
     m = n if num_particles is None else check_integer("num_particles", num_particles)
     if not 1 <= m <= n:
@@ -1086,33 +1110,18 @@ def batched_sequential_idla(
         return []
     plan = plan_state(state_budget, "sequential", n, m)
     if plan.cohort_reps < R:
-        # budgeted cohorts (see batched_parallel_idla): repetition r keeps
-        # its own stream, so grouping is invisible in the results
-        out: list[DispersionResult] = []
-        for a, b in cohort_slices(R, plan.cohort_reps):
-            out.extend(
-                batched_sequential_idla(
-                    g,
-                    origin,
-                    seeds=gens[a:b],
-                    lazy=lazy,
-                    record=record,
-                    rule=rule,
-                    num_particles=num_particles,
-                    max_total_steps=max_total_steps,
-                    tail_threshold=tail_threshold,
-                    state_budget=state_budget,
-                    kernels=kern,
-                )
-            )
-        return out
+        return _run_cohorts(
+            batched_sequential_idla, gens, plan.cohort_reps, opts, kernels=kern
+        )
     use_default_rule = rule is None or rule is standard_rule
     budget = check_limit("max_total_steps", max_total_steps)
     process = "sequential-lazy" if lazy else "sequential"
 
-    starts2d = np.empty((R, m), dtype=np.int64)
-    for r, gen in enumerate(gens):
-        starts2d[r] = resolve_origins(g, origin, m, gen)
+    starts2d = _resolve_starts(g, origin, m, gens)
+    # a particle walks iff an earlier one took its start: only repeated
+    # starts can sit on a degree-0 vertex and still have to walk
+    srt = np.sort(starts2d, axis=1)
+    check_walkers(g, srt[:, 1:][srt[:, 1:] == srt[:, :-1]])
 
     store = TrajectoryStore(starts2d, n) if record else None
     occ = np.zeros(R * n, dtype=bool)
@@ -1144,8 +1153,7 @@ def batched_sequential_idla(
     vert_off = live * n
     pstep = np.zeros(live.size, dtype=np.int64)  # current particle's step count
     adj = None  # built lazily when the finisher engages
-    kernel = neighbor_kernel(g)
-    degrees_g = g.degrees
+    step = _make_stepper(g, kern)
     csr = csr_arrays(g) if kern.compiled else None
     fin_kern = (
         kern if csr is not None and use_default_rule and store is None else None
@@ -1230,11 +1238,10 @@ def batched_sequential_idla(
             raise RuntimeError(limit_msg)
         if lazy:
             move = u >= 0.5
-            new = neighbor_step(kernel, degrees_g, pos, 2.0 * (u - 0.5))
-            pos = np.where(move, new, pos)
+            pos = np.where(move, step(pos, 2.0 * (u - 0.5)), pos)
             settling = move & ~occ[vert_off + pos]
         else:
-            pos = neighbor_step(kernel, degrees_g, pos, u)
+            pos = step(pos, u)
             settling = ~occ[vert_off + pos]
         if store is not None:
             # each live repetition's walker appends its post-tick position
@@ -1274,28 +1281,6 @@ def batched_sequential_idla(
             base = live * block
             vert_off = live * n
 
-    if store is None:
-        traj_all = None
-    elif record == "arrays":
-        traj_all = store.finalize_arrays()
-    else:
-        traj_all = store.finalize()
-    results = []
-    for r in range(R):
-        steps_r = steps2d[r].copy()
-        results.append(
-            DispersionResult(
-                process=process,
-                graph_name=g.name,
-                n=n,
-                origin=int(starts2d[r, 0]),
-                dispersion_time=int(steps_r.max()),
-                total_steps=int(steps_r.sum()),
-                steps=steps_r,
-                settled_at=settled2d[r].copy(),
-                settle_order=np.arange(m, dtype=np.int64),
-                trajectories=None if traj_all is None else traj_all[r],
-                num_particles=None if m == n else m,
-            )
-        )
-    return results
+    return _assemble_results(
+        g, process, starts2d, steps2d, settled2d, [range(m)] * R, store, record
+    )

@@ -23,7 +23,7 @@ matters, and every tick consumes each live repetition's doubles in the
 serial order.  That is what lets the buffers come from the bounded
 :class:`repro.utils.rng.UniformStreams` scheme (the refill chunk shrinks
 as the repetition count grows, so the allocation never outgrows a fixed
-budget — no more ``_BATCHED_MAX_BUFFER_DOUBLES`` dispatch decline).
+budget).
 The transforms use the same NumPy ufuncs (``np.log1p`` is
 elementwise-deterministic across array shapes and strides but *not*
 bit-identical to ``math.log1p`` — hence the shared log lane in
@@ -64,14 +64,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.batched import _resolve_generators
-from repro.core.budget import cohort_slices, plan_state
-from repro.core.origins import resolve_origins
+from repro.core.batched import (
+    _assemble_results,
+    _make_stepper,
+    _resolve_generators,
+    _resolve_starts,
+    _run_cohorts,
+)
+from repro.core.budget import plan_state
 from repro.core.results import DispersionResult
 from repro.core.sequential import _BLOCK as _SEQ_BLOCK
 from repro.core.settlement import settle_vacant_starts_inorder
 from repro.core.trajectory import ScheduleStore, TrajectoryStore
-from repro.graphs.csr import Graph, neighbor_kernel
+from repro.graphs.csr import Graph, check_walkers
 from repro.kernels import adjacency_descriptor, get_kernels
 from repro.utils.rng import UniformStreams, resolve_stream_block
 from repro.utils.validation import check_integer, check_limit, check_positive_finite
@@ -108,10 +113,7 @@ def stream_block(process: str, reps: int, num_particles: int | None = None) -> i
     The tick-scheduled drivers' own sizing export, consulted by
     :func:`repro.core.batched.buffer_doubles`.  ``c-sequential`` is owned
     by this module but rides ``batched_sequential_idla`` for its discrete
-    walks, so its allocation *is* the sequential driver's — delegating
-    here is the fix for the old ``buffer_doubles``, which sized every
-    non-continuous process with :mod:`repro.core.batched`'s block constant
-    regardless of which module's driver (and block) actually ran.
+    walks, so its allocation *is* the sequential driver's.
     """
     if process == "c-sequential":
         from repro.core.batched import stream_block as sync_stream_block
@@ -122,12 +124,14 @@ def stream_block(process: str, reps: int, num_particles: int | None = None) -> i
     raise ValueError(f"no tick-scheduled batched driver for process {process!r}")
 
 
-def _init_lanes(R, n, m, starts2d, occ, settledflat, unsflat, orders):
+def _init_lanes(g, starts2d, occ, settledflat, unsflat, orders):
     """Time-0 settlement for every repetition, via the shared in-order helper.
 
     Fills each repetition's pool row in ``unsflat`` and returns the live
     lanes (repetitions with unsettled particles) and their pool sizes.
     """
+    R, m = starts2d.shape
+    n = g.n
     lanes_list, k_list = [], []
     for r in range(R):
         uns = settle_vacant_starts_inorder(
@@ -136,58 +140,12 @@ def _init_lanes(R, n, m, starts2d, occ, settledflat, unsflat, orders):
             settledflat[r * m : (r + 1) * m],
             orders[r],
         )
+        check_walkers(g, starts2d[r, uns])
         if uns:
             unsflat[r * m : r * m + len(uns)] = uns
             lanes_list.append(r)
             k_list.append(len(uns))
     return lanes_list, k_list
-
-
-def _make_stepper(g: Graph, kernels):
-    """One-walk-step kernel ``(positions, u) -> new positions``.
-
-    The inlined :func:`repro.walks.engine.neighbor_step` with precomputed
-    degree arrays, resolving slots through the graph's ``neighbor_slots``
-    kernel (CSR gather or implicit arithmetic); regular graphs (most of
-    Table 1) reduce the degree gathers to scalar arithmetic and allocate
-    no O(n) helpers.  ``kernels`` is the caller's resolved provider; for a
-    compiled one the fused offset+gather (bit-identical by construction)
-    replaces both closures whenever the graph exposes CSR arrays and the
-    call is at least ``kernels.min_width`` lanes wide — the tick-scheduled
-    drivers step one lane-sized batch at a time, so narrow runs (few
-    repetitions) stay on the numpy path where they are faster.
-    """
-    kernel = neighbor_kernel(g)
-    degrees = g.degrees
-    if g.n > 0 and g.is_regular():
-        c_int = int(degrees[0])
-        c_float = float(c_int)
-
-        def step(pos, u):
-            off = (u * c_float).astype(np.int64)
-            np.minimum(off, c_int - 1, out=off)
-            return kernel(pos, off)
-
-    else:
-        degf = degrees.astype(np.float64)
-        degm1 = degrees - 1
-
-        def step(pos, u):
-            off = (u * degf[pos]).astype(np.int64)
-            np.minimum(off, degm1[pos], out=off)
-            return kernel(pos, off)
-
-    fused = kernels.stepper(g)
-    if fused is not None:
-        minw = kernels.min_width
-        numpy_step = step
-
-        def step(pos, u):
-            if pos.shape[0] >= minw:
-                return fused(pos, u)
-            return numpy_step(pos, u)
-
-    return step
 
 
 # ----------------------------------------------------------------------
@@ -241,6 +199,7 @@ def batched_ctu_idla(
     >>> [r.is_complete_dispersion() for r in batch]
     [True, True, True]
     """
+    opts = dict(locals())
     n = g.n
     m = n if num_particles is None else check_integer("num_particles", num_particles)
     if not 1 <= m <= n:
@@ -255,28 +214,11 @@ def batched_ctu_idla(
     kern = get_kernels(kernels)
     plan = plan_state(state_budget, "ctu", n, m)
     if plan.cohort_reps < R:
-        # budgeted cohorts (see batched_parallel_idla): repetition r keeps
-        # its own stream, so grouping is invisible in the results
-        out: list[DispersionResult] = []
-        for a, b in cohort_slices(R, plan.cohort_reps):
-            out.extend(
-                batched_ctu_idla(
-                    g,
-                    origin,
-                    seeds=gens[a:b],
-                    rate=rate,
-                    record=record,
-                    num_particles=num_particles,
-                    state_budget=state_budget,
-                    kernels=kern,
-                )
-            )
-        return out
+        return _run_cohorts(
+            batched_ctu_idla, gens, plan.cohort_reps, opts, kernels=kern
+        )
 
-    starts2d = np.empty((R, m), dtype=np.int64)
-    for r, gen in enumerate(gens):
-        starts2d[r] = resolve_origins(g, origin, m, gen)
-
+    starts2d = _resolve_starts(g, origin, m, gens)
     store = TrajectoryStore(starts2d, n) if record else None
     occ = np.zeros(R * n, dtype=bool)
     posflat = starts2d.reshape(-1).copy()
@@ -287,9 +229,7 @@ def batched_ctu_idla(
     final_clock = np.zeros(R, dtype=np.float64)
     unsflat = np.empty(R * m, dtype=np.int64)
 
-    lanes_list, k_list = _init_lanes(
-        R, n, m, starts2d, occ, settledflat, unsflat, orders
-    )
+    lanes_list, k_list = _init_lanes(g, starts2d, occ, settledflat, unsflat, orders)
     # settle order row r: the time-0 settlers, then one entry per ring
     # that settles, at index m - k (k the pool size before the ring)
     orderflat = np.empty(R * m, dtype=np.int64)
@@ -375,34 +315,12 @@ def batched_ctu_idla(
                 km1L, denomL, clockL = km1L[keep], denomL[keep], clockL[keep]
                 laneM, laneN = laneM[keep], laneN[keep]
 
-    # ---- per-repetition result assembly
-    if store is None:
-        traj_all = None
-    elif record == "arrays":
-        traj_all = store.finalize_arrays()
-    else:
-        traj_all = store.finalize()
-    results = []
-    for r in range(R):
-        row = slice(r * m, (r + 1) * m)
-        steps_r = stepsflat[row].copy()
-        result = DispersionResult(
-            process="ctu",
-            graph_name=g.name,
-            n=n,
-            origin=int(starts2d[r, 0]),
-            dispersion_time=float(final_clock[r]),
-            total_steps=int(steps_r.sum()),
-            steps=steps_r,
-            settled_at=settledflat[row].copy(),
-            settle_order=orderflat[row].copy(),
-            ticks=float(final_clock[r]),
-            trajectories=None if traj_all is None else traj_all[r],
-            num_particles=None if m == n else m,
-        )
-        object.__setattr__(result, "settle_clock", settle_clock[row].copy())
-        results.append(result)
-    return results
+    return _assemble_results(
+        g, "ctu", starts2d, stepsflat.reshape(R, m), settledflat.reshape(R, m),
+        orderflat.reshape(R, m), store, record,
+        dispersion=final_clock.tolist(), ticks=final_clock,
+        settle_clock=settle_clock.reshape(R, m).copy(),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -524,6 +442,7 @@ def batched_uniform_idla(
     doubles), so each lane keeps its own buffer pointer; a conservative
     shared countdown batches the refill checks.
     """
+    opts = dict(locals())
     n = g.n
     m = n if num_particles is None else check_integer("num_particles", num_particles)
     if not 1 <= m <= n:
@@ -537,31 +456,13 @@ def batched_uniform_idla(
     kern = get_kernels(kernels)
     plan = plan_state(state_budget, "uniform", n, m)
     if plan.cohort_reps < R:
-        # budgeted cohorts (see batched_parallel_idla): repetition r keeps
-        # its own stream, so grouping is invisible in the results
-        out: list[DispersionResult] = []
-        for a, b in cohort_slices(R, plan.cohort_reps):
-            out.extend(
-                batched_uniform_idla(
-                    g,
-                    origin,
-                    seeds=gens[a:b],
-                    record=record,
-                    faithful_r=faithful_r,
-                    num_particles=num_particles,
-                    max_ticks=max_ticks,
-                    state_budget=state_budget,
-                    kernels=kern,
-                )
-            )
-        return out
+        return _run_cohorts(
+            batched_uniform_idla, gens, plan.cohort_reps, opts, kernels=kern
+        )
     budget = check_limit("max_ticks", max_ticks)
     check_budget = max_ticks is not None
 
-    starts2d = np.empty((R, m), dtype=np.int64)
-    for r, gen in enumerate(gens):
-        starts2d[r] = resolve_origins(g, origin, m, gen)
-
+    starts2d = _resolve_starts(g, origin, m, gens)
     store = TrajectoryStore(starts2d, n) if record else None
     occ = np.zeros(R * n, dtype=bool)
     posflat = starts2d.reshape(-1).copy()
@@ -571,9 +472,7 @@ def batched_uniform_idla(
     final_ticks = np.zeros(R, dtype=np.int64)
     unsflat = np.empty(R * m, dtype=np.int64)
 
-    lanes_list, k_list = _init_lanes(
-        R, n, m, starts2d, occ, settledflat, unsflat, orders
-    )
+    lanes_list, k_list = _init_lanes(g, starts2d, occ, settledflat, unsflat, orders)
 
     pool_size = max(m - 1, 1)
 
@@ -751,35 +650,10 @@ def batched_uniform_idla(
             logqL, ticksL, bptrL = logqL[keep], ticksL[keep], bptrL[keep]
             laneM, laneN, laneB = laneM[keep], laneN[keep], laneB[keep]
 
-    if store is None:
-        traj_all = None
-    elif record == "arrays":
-        traj_all = store.finalize_arrays()
-    else:
-        traj_all = store.finalize()
-    results = []
-    for r in range(R):
-        row = slice(r * m, (r + 1) * m)
-        steps_r = stepsflat[row].copy()
-        result = DispersionResult(
-            process="uniform",
-            graph_name=g.name,
-            n=n,
-            origin=int(starts2d[r, 0]),
-            dispersion_time=int(steps_r.max()),
-            total_steps=int(steps_r.sum()),
-            steps=steps_r,
-            settled_at=settledflat[row].copy(),
-            settle_order=np.asarray(orders[r], dtype=np.int64),
-            ticks=float(final_ticks[r]),
-            trajectories=None if traj_all is None else traj_all[r],
-            num_particles=None if m == n else m,
-        )
-        if schedules is not None:
-            # frozen dataclass: attach like the serial driver does
-            object.__setattr__(result, "schedule", schedules[r])
-        results.append(result)
-    return results
+    return _assemble_results(
+        g, "uniform", starts2d, stepsflat.reshape(R, m), settledflat.reshape(R, m),
+        orders, store, record, ticks=final_ticks, schedule=schedules,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -807,7 +681,7 @@ def batched_continuous_sequential_idla(
     to ``continuous_sequential_idla(g, origin, seed=seeds[r], rate=rate)``,
     including the ``durations`` extra attribute.
     """
-    # local import: batched_sequential_idla lives beside _resolve_generators
+    # looked up at call time: a wrapper installed on the module sees the call
     from repro.core.batched import batched_sequential_idla
 
     check_positive_finite("rate", rate)

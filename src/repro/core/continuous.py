@@ -33,7 +33,7 @@ from repro.core.origins import resolve_origins
 from repro.core.results import DispersionResult
 from repro.core.sequential import sequential_idla
 from repro.core.settlement import UnsettledPool, settle_vacant_starts_inorder
-from repro.graphs.csr import Graph
+from repro.graphs.csr import Graph, check_walkers
 from repro.utils.rng import UniformStream, as_generator
 from repro.utils.validation import check_positive_finite
 from repro.walks.continuous import poissonise_steps
@@ -86,9 +86,9 @@ def ctu_idla(
     if record:
         trajectories = [[int(v)] for v in starts]
     # time-0 settlement: vacant starts settle instantly
-    pool = UnsettledPool(
-        settle_vacant_starts_inorder(occupied, starts, settled_at, settle_order)
-    )
+    unsettled = settle_vacant_starts_inorder(occupied, starts, settled_at, settle_order)
+    check_walkers(g, starts[unsettled])
+    pool = UnsettledPool(unsettled)
     stream = UniformStream(rng)
 
     clock = 0.0

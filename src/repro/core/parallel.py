@@ -33,7 +33,7 @@ from repro.core.origins import resolve_origins
 from repro.core.results import DispersionResult
 from repro.core.settlement import select_settlers, settle_vacant_starts
 from repro.core.stopping_rules import StoppingRule, standard_rule
-from repro.graphs.csr import Graph
+from repro.graphs.csr import Graph, check_walkers
 from repro.utils.rng import as_generator
 from repro.utils.validation import check_limit
 from repro.walks.engine import WalkEngine
@@ -134,6 +134,8 @@ def parallel_idla(
     unsettled_mask = settled_at < 0
     active = np.flatnonzero(unsettled_mask).astype(np.int64)
     pos = pos_all[active].copy()
+    if free_count:
+        check_walkers(g, pos)
     t = 0
 
     # ------------------------------------------------------------ wide phase

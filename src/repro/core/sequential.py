@@ -25,7 +25,7 @@ from repro.core.origins import resolve_origins
 from repro.core.results import DispersionResult
 from repro.core.settlement import instant_settle_chain
 from repro.core.stopping_rules import StoppingRule, standard_rule
-from repro.graphs.csr import Graph
+from repro.graphs.csr import Graph, check_walkers
 from repro.utils.rng import as_generator
 from repro.utils.validation import check_limit
 
@@ -98,6 +98,10 @@ def sequential_idla(
         )
     rng = as_generator(seed)
     starts = resolve_origins(g, origin, m, rng)
+    # a particle walks iff an earlier one took its start: only repeated
+    # starts can sit on a degree-0 vertex and still have to walk
+    srt = np.sort(starts)
+    check_walkers(g, srt[1:][srt[1:] == srt[:-1]])
     use_default_rule = rule is None or rule is standard_rule
     adj = g.adjacency_lists()
     occupied = [False] * n

@@ -83,7 +83,6 @@ def chunked_vacancies(
     rep_off: np.ndarray,
     pos: np.ndarray,
     chunk: int | None = None,
-    kernels=None,
 ) -> np.ndarray:
     """Indices of particles standing on vacant cells, probing in chunks.
 
@@ -97,17 +96,9 @@ def chunked_vacancies(
     in ascending order, exactly what the global ``flatnonzero`` returns.
 
     ``chunk=None`` (or a chunk covering all walkers) takes the one-shot
-    path unchanged; a compiled :class:`repro.kernels.KernelSet` replaces
-    that path with a single-pass probe (no walker-sized transients) whose
-    candidate order is identical by construction.
+    path.
     """
     if chunk is None or chunk >= pos.size:
-        if (
-            kernels is not None
-            and kernels.compiled
-            and pos.size >= kernels.min_width
-        ):
-            return kernels.vacant_candidates(occupied, rep_off, pos)
         return np.flatnonzero(occupied[rep_off + pos] == 0)
     parts = []
     for a in range(0, pos.size, chunk):

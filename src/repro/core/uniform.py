@@ -42,7 +42,7 @@ import numpy as np
 from repro.core.origins import resolve_origins
 from repro.core.results import DispersionResult
 from repro.core.settlement import UnsettledPool, settle_vacant_starts_inorder
-from repro.graphs.csr import Graph
+from repro.graphs.csr import Graph, check_walkers
 from repro.utils.rng import UniformStream, as_generator
 from repro.utils.validation import check_limit
 
@@ -110,9 +110,9 @@ def uniform_idla(
         trajectories = [[int(v)] for v in starts]
     # round-0 settlement pass: vacant starts settle instantly, lowest
     # particle index first (classically: particle 0 takes the origin)
-    pool = UnsettledPool(
-        settle_vacant_starts_inorder(occupied, starts, settled_at, settle_order)
-    )
+    unsettled = settle_vacant_starts_inorder(occupied, starts, settled_at, settle_order)
+    check_walkers(g, starts[unsettled])
+    pool = UnsettledPool(unsettled)
     stream = UniformStream(rng, block=_BLOCK)
     schedule: list[int] | None = [] if faithful_r else None
 

@@ -87,44 +87,23 @@ BATCHED_DRIVERS: dict[str, Callable[..., list[DispersionResult]]] = {
 #: The CLI validates ``--lazy`` against this before building a graph.
 LAZY_PROCESSES = frozenset({"sequential", "parallel"})
 
-#: Keyword arguments each batched driver understands; anything else (an
-#: unknown kwarg, or an impure settling rule) routes the estimate through
-#: the serial oracle.  ``record=True`` and ``faithful_r=True`` — the last
-#: modes that used to force the serial fallback — now batch through the
-#: chunked trajectory store of :mod:`repro.core.trajectory`.
+
+def _keyword_only(driver) -> set[str]:
+    """The keyword-only parameters of ``driver``'s signature."""
+    return {
+        name
+        for name, p in inspect.signature(driver).parameters.items()
+        if p.kind is inspect.Parameter.KEYWORD_ONLY
+    }
+
+
+#: Keyword arguments each batched driver understands (its keyword-only
+#: parameters, minus the repetition-stream ones the runner owns); anything
+#: else (an unknown kwarg, or an impure settling rule) routes the estimate
+#: through the serial oracle.
 _BATCHED_KWARGS = {
-    "parallel": {
-        "lazy",
-        "record",
-        "tie_break",
-        "rule",
-        "num_particles",
-        "scalar_threshold",
-        "max_rounds",
-        "tail_threshold",
-        "state_budget",
-        "kernels",
-    },
-    "sequential": {
-        "lazy",
-        "record",
-        "rule",
-        "num_particles",
-        "max_total_steps",
-        "tail_threshold",
-        "state_budget",
-        "kernels",
-    },
-    "uniform": {
-        "record",
-        "faithful_r",
-        "num_particles",
-        "max_ticks",
-        "state_budget",
-        "kernels",
-    },
-    "ctu": {"rate", "record", "num_particles", "state_budget", "kernels"},
-    "c-sequential": {"rate", "record", "state_budget", "kernels"},
+    process: frozenset(_keyword_only(driver) - {"reps", "seeds", "seed"})
+    for process, driver in BATCHED_DRIVERS.items()
 }
 
 #: Batched-only performance knobs: understood by (some of) the lock-step
@@ -136,7 +115,12 @@ _BATCHED_KWARGS = {
 #: tightest cohort a budget could ask for.  ``kernels`` qualifies
 #: because the compiled providers are pinned bit-identical to the serial
 #: loops, so the serial path already is the kernel-independent answer.
-_BATCHED_ONLY_KWARGS = frozenset({"tail_threshold", "state_budget", "kernels"})
+_BATCHED_ONLY_KWARGS = frozenset().union(
+    *(
+        _BATCHED_KWARGS[process] - _keyword_only(PROCESS_DRIVERS[process])
+        for process in BATCHED_DRIVERS
+    )
+)
 
 
 def serial_kwargs(process: str, kwargs: dict) -> dict:
@@ -175,14 +159,8 @@ def driver_kwargs(process: str) -> frozenset[str]:
         raise KeyError(
             f"unknown process {process!r}; available: {sorted(PROCESS_DRIVERS)}"
         ) from None
-    params = inspect.signature(driver).parameters
-    accepted = {
-        name
-        for name, p in params.items()
-        if p.kind is inspect.Parameter.KEYWORD_ONLY and name != "seed"
-    }
-    accepted |= _BATCHED_KWARGS.get(process, set())
-    result = frozenset(accepted)
+    accepted = _keyword_only(driver) - {"seed"}
+    result = frozenset(accepted | _BATCHED_KWARGS.get(process, set()))
     _DRIVER_KWARGS_CACHE[process] = result
     return result
 

@@ -30,7 +30,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-__all__ = ["Graph", "check_spec_counts", "neighbor_kernel"]
+__all__ = ["Graph", "check_spec_counts", "check_walkers", "neighbor_kernel"]
 
 
 def check_spec_counts(n: int, nnz: int | None = None) -> None:
@@ -69,6 +69,29 @@ def neighbor_kernel(g):
             "object implementing that method"
         )
     return kernel
+
+
+def check_walkers(g, positions) -> None:
+    """Reject particles that must walk from a degree-0 vertex.
+
+    ``positions`` are the vertices of particles that must take a step:
+    those still unsettled after time-0 settlement, or a single walk's
+    start.  A vertex without neighbours has no slot to step to — the
+    scalar loops would index an empty adjacency list and the compiled
+    kernels would read outside the CSR arrays — so every driver calls
+    this before its first step and raises the same ``ValueError``.  Only
+    CSR graphs are checked: an implicit family has a degree-0 vertex only
+    at ``n = 1``, where no particle walks.
+    """
+    if not isinstance(g, Graph):
+        return
+    pos = np.asarray(positions, dtype=np.int64)
+    isolated = pos[g.degrees[pos] == 0]
+    if isolated.size:
+        raise ValueError(
+            f"a particle must walk from vertex {int(isolated.min())}, which "
+            "has no neighbours (degree 0)"
+        )
 
 
 class Graph:

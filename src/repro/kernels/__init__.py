@@ -29,13 +29,13 @@ Compiled kernels activate only for materialised-CSR graphs
 seven implicit families (:func:`adjacency_descriptor`); the differential
 harness in ``tests/test_differential_drivers.py`` pins every swapped
 kernel against the serial oracles, double for double.  The provider
-passes a load-time self-check (:func:`_self_check`) exercising all ten
+passes a load-time self-check (:func:`_self_check`) exercising all nine
 entry points before it can be selected, so a miscompiled or
 mis-installed provider fails at resolution, not mid-run.
 
 Fused lock-step
 ---------------
-The eighth entry point, :meth:`CompiledKernels.advance_rounds`, runs
+The seventh entry point, :meth:`CompiledKernels.advance_rounds`, runs
 whole rounds of ``batched_parallel_idla`` in place and returns to Python
 only at the status protocol's events: ``0`` a live repetition's buffer
 cannot serve the next round (the wrapper refills and resumes), ``2`` the
@@ -45,7 +45,7 @@ the compiled gates above hold and the run uses the default rule, no
 trajectory recording and no ``state_budget`` step chunk; otherwise the
 per-round body runs as before.
 
-The ninth, :meth:`CompiledKernels.advance_ticks`, does the same for
+The eighth, :meth:`CompiledKernels.advance_ticks`, does the same for
 whole ticks of ``batched_sequential_idla``: ``0`` the shared cursor
 reached the end of the chunk (the wrapper refills the live rows and
 resumes), ``2`` the tail-finisher handoff holds, ``1`` every repetition
@@ -53,7 +53,7 @@ finished, ``-1`` the next tick would exceed ``max_total_steps``.  The
 sequential driver takes it whenever the compiled tail finisher would
 engage: host CSR, the default rule and no trajectory recording.
 
-The tenth, :meth:`CompiledKernels.advance_ctu_ticks`, plays whole ticks
+The ninth, :meth:`CompiledKernels.advance_ctu_ticks`, plays whole ticks
 of ``batched_ctu_idla``: ``0`` the window of precomputed clock
 logarithms ran out (the wrapper refills the live rows when the chunk is
 spent too, computes the next window with ``np.log1p`` and resumes),
@@ -252,9 +252,6 @@ class NumpyKernels(KernelSet):
         np.take(indices, flat, out=out)
         return out
 
-    def vacant_candidates(self, occupied, rep_off, pos):
-        return np.flatnonzero(occupied[rep_off + pos] == 0)
-
     def make_settle_scratch(self, n: int):
         return None
 
@@ -308,13 +305,6 @@ class CompiledKernels(KernelSet):
             return _self.csr_step(_ip, _ix, pos, u, out)
 
         return step
-
-    def vacant_candidates(self, occupied, rep_off, pos):
-        pos = _i64(pos)
-        k = pos.shape[0]
-        out = np.empty(k, dtype=np.int64)
-        c = self._impl.vacant(_u8(occupied), _i64(rep_off), pos, k, out)
-        return out[: int(c)]
 
     def make_settle_scratch(self, n: int) -> np.ndarray:
         """Persistent per-vertex contest scratch (must stay all ``-1``
@@ -388,6 +378,10 @@ class CompiledKernels(KernelSet):
             and 0 <= pos.min() and pos.max() < n
         ):
             raise ValueError("advance_rounds: lane state out of range or ungrouped")
+        if not bool(np.all(indptr[pos + 1] > indptr[pos])):
+            raise ValueError(
+                "advance_rounds: an unsettled particle sits on an isolated vertex"
+            )
         if scratch is None:
             scratch = self.make_settle_scratch(n)
         touched = np.empty(n, dtype=np.int64)
@@ -477,6 +471,21 @@ class CompiledKernels(KernelSet):
             starts2d.size and not (0 <= starts2d.min() and starts2d.max() < n)
         ):
             raise ValueError("advance_ticks: lane state out of range or unordered")
+        # every walker steps, and so does each later particle released onto
+        # an occupied start: none of them may sit on a degree-0 vertex, so a
+        # later particle's degree-0 start must be vacant and its own
+        rows = starts2d[live]
+        later = np.arange(m) > current[live][:, None]
+        lane, j = np.nonzero(later & (indptr[rows + 1] == indptr[rows]))
+        cells = live[lane] * n + rows[lane, j]
+        if (
+            not bool(np.all(indptr[pos + 1] > indptr[pos]))
+            or occ[cells].any()
+            or np.unique(cells).size < cells.size
+        ):
+            raise ValueError(
+                "advance_ticks: an unsettled particle sits on an isolated vertex"
+            )
         starts = _i64(starts2d).reshape(-1)
         done = np.empty(2 * lanes, dtype=np.int64)
         state = np.array([lanes, cursor, ticks, 0], dtype=np.int64)
@@ -752,7 +761,7 @@ class _RowsFeeder:
 
 
 def _self_check(ks: CompiledKernels) -> None:
-    """Exercise all ten kernels on the path graph P3 and assert the answers.
+    """Exercise all nine kernels on the path graph P3 and assert the answers.
 
     Catches toolchain miscompiles and broken cached libraries at
     selection time, loudly.  Inputs cross a buffer-refill boundary so the
@@ -769,13 +778,6 @@ def _self_check(ks: CompiledKernels) -> None:
     assert stepped.tolist() == [1, 0, 2, 1], stepped
 
     occ2 = np.array([1, 0, 0, 1, 1, 0], dtype=bool)
-    cand = ks.vacant_candidates(
-        occ2,
-        np.array([0, 0, 3, 3], dtype=np.int64),
-        np.array([1, 0, 2, 0], dtype=np.int64),
-    )
-    assert cand.tolist() == [0, 2], cand
-
     winners = ks.settle_round(
         occ2,
         np.array([0, 0, 1, 1], dtype=np.int64),

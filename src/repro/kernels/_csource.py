@@ -11,7 +11,7 @@ micro-loops in ``_finish_parallel_rep`` / ``_finish_sequential_rep`` /
 order around the budget checks) is deliberate and pinned by
 ``tests/test_differential_drivers.py``.
 
-Ten entry points.  The loop kernels consume uniforms from a
+Nine entry points.  The loop kernels consume uniforms from a
 caller-provided buffer and return ``0`` when it runs dry; the Python
 wrapper refills in exactly the serial drivers' block cadence (see
 ``KernelSet`` in the package root), so generator fetch positions stay on
@@ -44,8 +44,6 @@ CDEF = """
 typedef long long i64;
 void repro_csr_step(const i64 *indptr, const i64 *indices, const i64 *pos,
                     const double *u, i64 *out, i64 k);
-i64 repro_vacant(const unsigned char *occ, const i64 *rep_off,
-                 const i64 *pos, i64 k, i64 *out);
 i64 repro_settle_round(const unsigned char *occ, const i64 *rep,
                        const i64 *pos, const i64 *prio, i64 k, i64 n,
                        i64 *best, i64 *touched, i64 *winners);
@@ -108,17 +106,6 @@ void repro_csr_step(const i64 *indptr, const i64 *indices, const i64 *pos,
         if (off < 0) off = 0;
         out[i] = indices[s + off];
     }
-}
-
-/* Occupancy probe: indices i with occ[rep_off[i] + pos[i]] == 0,
- * ascending -- what flatnonzero returns, in one pass with no transients. */
-i64 repro_vacant(const unsigned char *occ, const i64 *rep_off,
-                 const i64 *pos, i64 k, i64 *out)
-{
-    i64 c = 0;
-    for (i64 i = 0; i < k; i++)
-        if (!occ[rep_off[i] + pos[i]]) out[c++] = i;
-    return c;
 }
 
 static int repro_cmp_i64(const void *a, const void *b)

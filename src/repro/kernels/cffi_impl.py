@@ -162,9 +162,6 @@ def load() -> SimpleNamespace:
         csr_step=lambda indptr, indices, pos, u, out, k: lib.repro_csr_step(
             pi(indptr), pi(indices), pi(pos), pd(u), pi(out), k
         ),
-        vacant=lambda occ, rep_off, pos, k, out: lib.repro_vacant(
-            pu(occ), pi(rep_off), pi(pos), k, pi(out)
-        ),
         settle_round=lambda occ, rep, pos, prio, k, n, best, touched, winners: (
             lib.repro_settle_round(
                 pu(occ), pi(rep), pi(pos), pi(prio), k, n,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graphs.csr import Graph
+from repro.graphs.csr import Graph, check_walkers
 from repro.kernels import csr_arrays, get_kernels
 from repro.utils.rng import as_generator
 from repro.utils.validation import check_limit
@@ -72,6 +72,8 @@ def random_walk(
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
+    if steps:
+        check_walkers(g, [start])
     out = np.empty(steps + 1, dtype=np.int64)
     out[0] = int(start)
     ks = get_kernels(kernels)
@@ -106,6 +108,7 @@ def walk_until_hit(
     target_mask[t_arr] = True
     if target_mask[start]:
         return 0  # before any kernel/RNG setup: the serial path draws nothing
+    check_walkers(g, [start])
     ks = get_kernels(kernels)
     if ks.compiled:
         csr = csr_arrays(g)

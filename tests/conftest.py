@@ -86,7 +86,6 @@ def small_graph(request):
 #: Low-level entry points every compiled kernel provider exposes.
 KERNEL_ENTRY_POINTS = (
     "csr_step",
-    "vacant",
     "settle_round",
     "finish_seq",
     "finish_par1",

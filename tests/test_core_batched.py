@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core import (
     DelayedRule,
     HairRule,
+    StateBudget,
     batched_parallel_idla,
     batched_sequential_idla,
     parallel_idla,
@@ -29,7 +30,9 @@ from repro.graphs import (
     complete_graph,
     cycle_graph,
     grid_graph,
+    star_graph,
 )
+from repro.kernels import available_kernels
 from repro.utils.rng import spawn_seed_sequences
 from repro.walks.engine import WalkEngine
 
@@ -107,6 +110,45 @@ def test_batched_sequential_bit_identical(g, variant):
         g, origin, seeds=spawn_seed_sequences(PARENT_SEED, REPS), **kwargs
     )
     assert_results_identical(serial, batch)
+
+
+@pytest.mark.parametrize("provider", sorted(available_kernels()))
+@pytest.mark.parametrize("record", [False, True], ids=["plain", "record"])
+@pytest.mark.parametrize("lazy", [False, True], ids=["simple", "lazy"])
+@pytest.mark.parametrize(
+    "g", [grid_graph(10, 10), star_graph(100)], ids=lambda g: g.name
+)
+def test_chunked_round_body_matches_serial_oracle(
+    g, lazy, record, provider, counting_kernels
+):
+    """A particle budget below one repetition's walkers slices each round
+    into 64-lane chunks — wide enough for the compiled stepper — plus a
+    narrow remainder on the numpy step, on irregular graphs.  Every slice
+    geometry replays the serial oracle, trajectories included."""
+    if not available_kernels()[provider]:
+        pytest.skip(f"kernel provider {provider!r} unavailable")
+    kern, calls = provider, None
+    if provider != "numpy":
+        kern, calls = counting_kernels(provider)
+    serial = [
+        parallel_idla(g, 0, seed=s, lazy=lazy, record=record)
+        for s in spawn_seed_sequences(PARENT_SEED, 3)
+    ]
+    batch = batched_parallel_idla(
+        g, 0, seeds=spawn_seed_sequences(PARENT_SEED, 3), lazy=lazy,
+        record=record, state_budget=StateBudget(particles=64), kernels=kern,
+    )
+    for s, b in zip(serial, batch):
+        assert b.dispersion_time == s.dispersion_time
+        assert b.total_steps == s.total_steps
+        assert np.array_equal(b.steps, s.steps)
+        assert np.array_equal(b.settled_at, s.settled_at)
+        assert np.array_equal(b.settle_order, s.settle_order)
+        assert b.trajectories == s.trajectories
+    if calls is not None:
+        # the 64-lane chunks crossed into the compiled stepper, and the
+        # budget kept the run off the fused whole-round kernel
+        assert calls["csr_step"] > 0 and calls["par_rounds"] == 0
 
 
 def test_batched_parallel_surplus_particles():

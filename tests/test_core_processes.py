@@ -1,5 +1,10 @@
 """Tests for the four process drivers: invariants, block validity, laziness,
-tie-breaking, stopping rules and determinism."""
+tie-breaking, stopping rules, determinism and rejected inputs."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +27,7 @@ from repro.graphs import (
     grid_graph,
     path_graph,
 )
+from repro.kernels import available_kernels
 from repro.utils.rng import stable_seed
 
 DRIVERS = [sequential_idla, parallel_idla, uniform_idla, ctu_idla]
@@ -280,3 +286,60 @@ class TestStoppingRules:
     def test_rule_describe(self):
         assert "hair" in HairRule(1, 10.0).describe()
         assert "delayed" in DelayedRule(5).describe()
+
+
+#: Every process, serial and batched, and both single-walk functions on a
+#: graph whose vertex 2 has no neighbours, with every particle starting
+#: there: one output line per case, printed before the call so a crash
+#: names the case that killed the interpreter.
+_ISOLATED_START_SCRIPT = """
+from repro.experiments import estimate_dispersion
+from repro.graphs import Graph
+from repro.walks.single import random_walk, walk_until_hit
+
+g = Graph([0, 1, 2, 2], [1, 0])
+cases = {
+    "random_walk": lambda: random_walk(g, 2, 5),
+    "walk_until_hit": lambda: walk_until_hit(g, 2, [0]),
+}
+for process in ("parallel", "sequential", "uniform", "ctu", "c-sequential"):
+    for batched in (False, True):
+        cases[f"{process} batched={batched}"] = (
+            lambda p=process, b=batched: estimate_dispersion(
+                g, p, reps=4, seed=1, origin=2, batched=b
+            )
+        )
+for name, call in cases.items():
+    print(name, end=": ", flush=True)
+    try:
+        call()
+        print("no error", flush=True)
+    except ValueError as exc:
+        print(exc, flush=True)
+"""
+
+
+@pytest.mark.parametrize("provider", ["cffi", "numpy"])
+def test_walker_on_isolated_vertex_raises_one_error_everywhere(provider):
+    """A particle that must walk from a degree-0 vertex is rejected with
+    the same ``ValueError`` by every driver and walk, on both kernel
+    providers.  Unchecked, such a step reads past the CSR arrays in the
+    compiled kernels, so the cases run in a subprocess: a crash fails
+    this test instead of killing the test session."""
+    if not available_kernels()[provider]:
+        pytest.skip(f"kernel provider {provider!r} unavailable")
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src"), "REPRO_KERNELS": provider}
+    proc = subprocess.run(
+        [sys.executable, "-c", _ISOLATED_START_SCRIPT],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+    assert proc.returncode == 0, (proc.returncode, proc.stdout, proc.stderr)
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 12, proc.stdout
+    message = "a particle must walk from vertex 2, which has no neighbours (degree 0)"
+    for line in lines:
+        assert line.endswith(": " + message), line
